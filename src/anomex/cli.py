@@ -234,11 +234,13 @@ def _cmd_overall(args: argparse.Namespace) -> int:
         detector.score, data, grid, weights, threshold,
         top_positions=args.positions, threads=_threads(args),
     )
+    # the summary names a real feature, so it reads the histogram before
+    # small features are folded into the synthetic 'others' row
+    top = hist.feature_names[int(np.argmax(hist.matrix[:, 0]))]
     hist = merge_others(hist, args.cutoff)
     _write_text(args.out, _dump_json(histogram_to_dict(hist)))
     if args.svg:
         _write_text(args.svg, render_rank_bars(hist, width=args.width, height=args.height))
-    top = hist.feature_names[int(np.argmax(hist.matrix[:, 0]))]
     print(f"{hist.n_anomalies} anomalies explained, top rank-1 feature {top}")
     return 0
 

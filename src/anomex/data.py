@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,7 +110,7 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
 
     With ``has_labels`` the trailing column must be named ``label`` and
     hold 0/1 values; it is split off from the features. Cells must parse
-    as finite numbers (standard decimal or scientific notation).
+    as finite numbers; any syntax ``float()`` accepts is accepted.
     """
     path = Path(path)
     if not path.is_file():
@@ -121,7 +122,12 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        raw_rows = [row for row in reader if row]
+        values = _parse_plain_body(fh, len(header))
+        if values is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            raw_rows = [row for row in reader if row]
 
     if has_labels:
         if header[-1] != LABEL_COLUMN:
@@ -132,9 +138,69 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
     else:
         names = header
 
-    if not raw_rows:
-        raise DataError(f"{path}: no data rows")
+    if values is None:
+        if not raw_rows:
+            raise DataError(f"{path}: no data rows")
+        values = _parse_cells(path, header, raw_rows)
 
+    if has_labels:
+        labels = values[:, -1]
+        if not np.isin(labels, (0.0, 1.0)).all():
+            i = int(np.nonzero(~np.isin(labels, (0.0, 1.0)))[0][0])
+            raise DataError(f"{path}: label at row {i + 1} is not 0 or 1")
+        return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
+    return Dataset(tuple(names), values)
+
+
+def _parse_plain_body(lines: Iterator[str], width: int) -> np.ndarray | None:
+    """Parse the rows after the header in one numpy call, or return None.
+
+    Succeeds only on a body of unquoted decimal cells that yields at least
+    one row, exactly ``width`` columns and no non-finite value; numpy
+    rounds like ``float()``, so the values are bit-identical to
+    ``_parse_cells``. Anything else returns None and the caller falls back
+    to ``_parse_cells``, which accepts every syntax ``float()`` does and
+    words the error for a bad row or cell.
+    """
+    lines = _reject_unlike_csv(lines)
+    try:
+        # Blank lines are skipped by csv.reader and by loadtxt alike; peeking
+        # past them avoids loadtxt's "input contained no data" warning.
+        first = next((line for line in lines if line.strip("\r\n")), None)
+        if first is None:
+            return None
+        # comments=None: with numpy's default a '#...' row would be dropped
+        values = np.loadtxt(
+            itertools.chain((first,), lines),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if values.shape[1] != width or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _reject_unlike_csv(lines: Iterator[str]) -> Iterator[str]:
+    """Pass lines through, raising ValueError where loadtxt and csv differ.
+
+    loadtxt strips ASCII \\x1c-\\x1f around a cell as whitespace, but
+    ``float()`` rejects them; csv.reader raises on a cell longer than
+    ``csv.field_size_limit()``, which loadtxt parses. Such lines must take
+    the per-cell path, which behaves as the csv module does.
+    """
+    limit = csv.field_size_limit()
+    for line in lines:
+        if (
+            len(line) > limit
+            or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
+        ):
+            raise ValueError("line needs the per-cell path")
+        yield line
+
+
+def _parse_cells(path: Path, header: list[str], raw_rows: list[list[str]]) -> np.ndarray:
+    """Convert csv.reader rows cell by cell, naming the first bad row or cell."""
     width = len(header)
     values = np.empty((len(raw_rows), width), dtype=np.float64)
     for i, row in enumerate(raw_rows):
@@ -150,33 +216,33 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
             if not math.isfinite(v):
                 raise DataError(f"{path}: non-finite cell at row {i + 1}, column {header[j]!r}")
             values[i, j] = v
+    return values
 
-    if has_labels:
-        labels = values[:, -1]
-        if not np.isin(labels, (0.0, 1.0)).all():
-            i = int(np.nonzero(~np.isin(labels, (0.0, 1.0)))[0][0])
-            raise DataError(f"{path}: label at row {i + 1} is not 0 or 1")
-        return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
-    return Dataset(tuple(names), values)
+
+_SAVE_BLOCK_ROWS = 1024
 
 
 def save_csv(data: Dataset, path: str | Path) -> None:
     """Write ``data`` in the same CSV dialect ``load_csv`` reads.
 
-    Floats are written with repr so a load round-trips bit-exactly.
+    Floats are written with repr so a load round-trips bit-exactly. The
+    bytes match ``csv.writer`` (excel dialect): numeric cells never need
+    quoting, so body rows are joined directly, ``_SAVE_BLOCK_ROWS`` at a
+    time to keep memory flat.
     """
     path = Path(path)
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
         header = list(data.feature_names)
         if data.labels is not None:
             header.append(LABEL_COLUMN)
-        writer.writerow(header)
-        for i in range(data.n_rows):
-            row = [repr(float(v)) for v in data.rows[i]]
+        csv.writer(fh).writerow(header)
+        for a in range(0, data.n_rows, _SAVE_BLOCK_ROWS):
+            block = data.rows[a : a + _SAVE_BLOCK_ROWS].tolist()
+            lines = [",".join(map(repr, row)) for row in block]
             if data.labels is not None:
-                row.append(str(int(data.labels[i])))
-            writer.writerow(row)
+                labels = data.labels[a : a + _SAVE_BLOCK_ROWS].tolist()
+                lines = [f"{line},{label}" for line, label in zip(lines, labels)]
+            fh.write("\r\n".join(lines) + "\r\n")
 
 
 @dataclass(frozen=True, eq=False)

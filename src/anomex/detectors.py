@@ -18,16 +18,57 @@ from typing import Sequence
 import numpy as np
 
 from anomex.data import Dataset
-from anomex.errors import ModelError
+from anomex.errors import DataError, ModelError
 
 
-def _as_batch(x: np.ndarray, d: int, what: str) -> np.ndarray:
+def _as_batch(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
+    """Check a batch against the model's features; reject non-finite cells.
+
+    A NaN would otherwise be scored silently (it fails every comparison),
+    yielding a plausible but meaningless score.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[None, :]
+    d = len(names)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ModelError(f"{what} expects samples with {d} features, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise DataError(f"{what}: non-finite value at row {i + 1}, column {names[j]!r}")
     return arr
+
+
+def _require_keys(doc: object, keys: Sequence[str], what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ModelError(f"{what} is not a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ModelError(f"{what} is missing {', '.join(map(repr, missing))}")
+
+
+def _integer(value: object, what: str, minimum: int | None = None) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ModelError(f"{what!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ModelError(f"{what!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _numbers(value: object, what: str, ndim: int) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} is not a numeric array") from None
+    if arr.ndim != ndim:
+        raise ModelError(f"{what} must be {ndim}-dimensional, got shape {arr.shape}")
+    return arr
+
+
+def _feature_names(value: object) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
+        raise ModelError("'feature_names' must be a non-empty list of strings")
+    return tuple(value)
 
 
 def expected_path_length(m: int | np.ndarray) -> np.ndarray:
@@ -120,39 +161,23 @@ class IsolationForest:
         precomputed depth-plus-credit can be gathered in one shot.
         """
         credit = expected_path_length(np.arange(self.subsample + 1))
-        feature, threshold, child, h_final = [], [], [], []
-        roots = []
-        max_depth = 0
-        for tree in self.trees:
-            base = len(feature)
-            roots.append(base)
-            t_feat = tree["feature"]
-            t_thresh = tree["threshold"]
-            t_child = tree["child"]
-            t_size = tree["size"]
-            t_depth = tree["depth"]
-            for i in range(len(t_feat)):
-                if t_child[i] < 0:  # leaf
-                    feature.append(0)
-                    threshold.append(np.inf)
-                    child.append(base + i)
-                    h_final.append(t_depth[i] + credit[t_size[i]])
-                else:
-                    feature.append(t_feat[i])
-                    threshold.append(t_thresh[i])
-                    child.append(base + t_child[i])
-                    h_final.append(0.0)
-                max_depth = max(max_depth, t_depth[i])
-        self._feature = np.asarray(feature, dtype=np.int64)
-        self._threshold = np.asarray(threshold, dtype=np.float64)
-        self._child = np.asarray(child, dtype=np.int64)
-        self._h_final = np.asarray(h_final, dtype=np.float64)
-        self._roots = np.asarray(roots, dtype=np.int64)
-        self._max_depth = max_depth
+        lengths = np.asarray([len(t["feature"]) for t in self.trees], dtype=np.int64)
+        roots = np.cumsum(lengths) - lengths
+        feature, threshold, child, size, depth = (
+            np.concatenate([np.asarray(t[key], dtype=dtype) for t in self.trees])
+            for key, dtype in _TREE_FIELDS
+        )
+        leaf = child < 0
+        self._feature = np.where(leaf, 0, feature)
+        self._threshold = np.where(leaf, np.inf, threshold)
+        self._child = np.where(leaf, np.arange(feature.size), np.repeat(roots, lengths) + child)
+        self._h_final = np.where(leaf, depth + credit[size], 0.0)
+        self._roots = roots
+        self._max_depth = int(depth.max())
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Anomaly scores in (0, 1) for a batch of samples."""
-        batch = _as_batch(x, len(self.feature_names), "IsolationForest.score")
+        batch = _as_batch(x, self.feature_names, "IsolationForest.score")
         m = batch.shape[0]
         rows = np.arange(m)[:, None]
         node = np.broadcast_to(self._roots, (m, self.n_trees)).copy()
@@ -185,7 +210,70 @@ class IsolationForest:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "IsolationForest":
-        return cls(doc["feature_names"], doc["trees"], doc["subsample"], doc["seed"], doc["n_trees"])
+        """Rebuild a forest from ``to_dict`` output; ModelError if malformed."""
+        _require_keys(doc, ("feature_names", "subsample", "seed", "n_trees", "trees"), "model")
+        names = _feature_names(doc["feature_names"])
+        subsample = _integer(doc["subsample"], "subsample", minimum=2)
+        n_trees = _integer(doc["n_trees"], "n_trees", minimum=1)
+        trees = doc["trees"]
+        if not isinstance(trees, list) or len(trees) != n_trees:
+            raise ModelError(f"'trees' must be a list of n_trees={n_trees} trees")
+        _check_trees(trees, len(names), subsample)
+        return cls(names, trees, subsample, _integer(doc["seed"], "seed"), n_trees)
+
+
+_TREE_FIELDS = (
+    ("feature", np.int64),
+    ("threshold", np.float64),
+    ("child", np.int64),
+    ("size", np.int64),
+    ("depth", np.int64),
+)
+
+
+def _check_trees(trees: list, n_features: int, subsample: int) -> None:
+    """Validate every tree's node arrays, vectorised over their concatenation.
+
+    Beyond the indices staying in range, a child must sit one level below
+    its parent and the root at depth 0: that is what guarantees every
+    walker in ``score`` reaches a leaf of its own tree.
+    """
+    keys = [key for key, _ in _TREE_FIELDS]
+    columns: dict[str, list[np.ndarray]] = {key: [] for key in keys}
+    for t, tree in enumerate(trees):
+        _require_keys(tree, keys, f"tree {t}")
+        arrays = [_numbers(tree[key], f"tree {t} {key!r}", ndim=1) for key in keys]
+        if arrays[0].size == 0 or any(arr.size != arrays[0].size for arr in arrays):
+            raise ModelError(f"tree {t}: node arrays must be non-empty and of equal length")
+        for key, arr in zip(keys, arrays):
+            columns[key].append(arr)
+    lengths = np.asarray([arr.size for arr in columns["feature"]], dtype=np.int64)
+    roots = np.cumsum(lengths) - lengths
+    n_nodes = np.repeat(lengths, lengths)
+    feature, threshold, child, size, depth = (np.concatenate(columns[key]) for key in keys)
+
+    def fail(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            g = int(np.argmax(bad))
+            t = int(np.searchsorted(roots, g, side="right")) - 1
+            raise ModelError(f"tree {t} node {g - roots[t]}: {what}")
+
+    for key, arr in (("feature", feature), ("child", child), ("size", size), ("depth", depth)):
+        fail(~np.isfinite(arr) | (arr != np.round(arr)), f"{key!r} is not an integer")
+    internal = child != -1
+    fail(internal & ((child < 1) | (child > n_nodes - 2)), "child index outside the tree")
+    fail((feature < 0) | (feature >= n_features), f"feature index outside [0, {n_features})")
+    fail(internal & ~np.isfinite(threshold), "non-finite split threshold")
+    fail((size < 1) | (size > subsample), f"size outside [1, subsample={subsample}]")
+    fail((depth < 0) | (depth >= n_nodes), "depth outside the tree")
+    is_root = np.zeros(depth.size, dtype=bool)
+    is_root[roots] = True
+    fail(is_root & (depth != 0), "root depth is not 0")
+    left = (np.repeat(roots, lengths) + child)[internal].astype(np.int64)
+    below = depth[internal] + 1
+    misplaced = np.zeros(depth.size, dtype=bool)
+    misplaced[internal] = (depth[left] != below) | (depth[left + 1] != below)
+    fail(misplaced, "children are not one level below their parent")
 
 
 def _grow_tree(points: np.ndarray, rng: np.random.Generator, depth_limit: int) -> dict:
@@ -311,7 +399,7 @@ class Loda:
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Negative mean log bin probability across projections (>= 0)."""
-        batch = _as_batch(x, len(self.feature_names), "Loda.score")
+        batch = _as_batch(x, self.feature_names, "Loda.score")
         z = batch @ self.projections.T  # (m, M)
         idx = np.floor((z - self.bin_lo) / self.bin_width).astype(np.int64)
         idx = np.clip(idx, 0, self._n_bins - 1)
@@ -335,15 +423,31 @@ class Loda:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Loda":
+        """Rebuild a LODA model from ``to_dict`` output; ModelError if malformed."""
+        _require_keys(doc, ("feature_names", "seed", "projections", "histograms"), "model")
+        names = _feature_names(doc["feature_names"])
+        projections = _numbers(doc["projections"], "'projections'", ndim=2)
+        m = projections.shape[0]
+        if m < 1 or projections.shape[1] != len(names):
+            raise ModelError(
+                f"'projections' must be (M >= 1, {len(names)}), got shape {projections.shape}"
+            )
+        if not np.isfinite(projections).all():
+            raise ModelError("'projections' holds a non-finite weight")
         hists = doc["histograms"]
-        return cls(
-            doc["feature_names"],
-            np.asarray(doc["projections"], dtype=np.float64),
-            np.asarray([h["lo"] for h in hists]),
-            np.asarray([h["width"] for h in hists]),
-            [np.asarray(h["probs"]) for h in hists],
-            doc["seed"],
-        )
+        if not isinstance(hists, list) or len(hists) != m:
+            raise ModelError(f"'histograms' must be a list of {m} histograms, one per projection")
+        for i, h in enumerate(hists):
+            _require_keys(h, ("lo", "width", "probs"), f"histogram {i}")
+        lo = _numbers([h["lo"] for h in hists], "histogram 'lo'", ndim=1)
+        width = _numbers([h["width"] for h in hists], "histogram 'width'", ndim=1)
+        if not (np.isfinite(lo).all() and np.isfinite(width).all() and (width > 0).all()):
+            raise ModelError("histogram 'lo' must be finite and 'width' finite and positive")
+        probs = [_numbers(h["probs"], f"histogram {i} 'probs'", ndim=1) for i, h in enumerate(hists)]
+        for i, p in enumerate(probs):
+            if p.size == 0 or not ((p > 0) & (p <= 1)).all():
+                raise ModelError(f"histogram {i} 'probs' must be non-empty and in (0, 1]")
+        return cls(names, projections, lo, width, probs, _integer(doc["seed"], "seed"))
 
 
 MODEL_FORMAT_VERSION = 1
@@ -388,11 +492,20 @@ def load_model(path: str | Path) -> tuple[Detector, float, float]:
         raise ModelError(f"{path}: not a model document")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise ModelError(f"{path}: unsupported format version {doc['format_version']}")
-    klass = _MODEL_TYPES.get(doc.get("model_type"))
+    model_type = doc.get("model_type")
+    klass = _MODEL_TYPES.get(model_type) if isinstance(model_type, str) else None
     if klass is None:
         raise ModelError(f"{path}: unknown model type {doc.get('model_type')!r}")
-    detector = klass.from_dict(doc["model"])
-    return detector, float(doc["threshold"]), float(doc["contamination"])
+    try:
+        _require_keys(doc, ("threshold", "contamination", "model"), "model document")
+        threshold = _numbers(doc["threshold"], "'threshold'", ndim=0)
+        contamination = _numbers(doc["contamination"], "'contamination'", ndim=0)
+        if not np.isfinite(threshold) or not 0.0 < contamination < 1.0:
+            raise ModelError("'threshold' must be finite and 'contamination' in (0, 1)")
+        detector = klass.from_dict(doc["model"])
+    except ModelError as exc:
+        raise ModelError(f"{path}: {exc}") from None
+    return detector, float(threshold), float(contamination)
 
 
 def average_precision(labels: np.ndarray, scores: np.ndarray) -> float:

@@ -42,6 +42,28 @@ def test_pipeline_synth_fit_overall_recovers_root(workspace, capsys):
     assert hist_svg.read_text().startswith("<?xml")
 
 
+def test_overall_summary_never_names_others(workspace, capsys):
+    # at cutoff 0.5 every feature folds into 'others', which then holds
+    # the whole first column; the summary must still name a real feature
+    tmp, data, model = workspace
+    tops = {}
+    for cutoff in ("0.001", "0.5"):
+        out = tmp / f"hist{cutoff}.json"
+        assert invoke(
+            "overall", "--model", str(model), "--input", str(data), "--has-labels",
+            "--positions", "5", "--cutoff", cutoff, "--out", str(out),
+        ) == 0
+        tops[cutoff] = capsys.readouterr().out.strip().rsplit(" ", 1)[-1]
+        doc = json.loads(out.read_text())
+        col1 = [row[0] for row in doc["matrix"]]
+        if cutoff == "0.001":
+            assert "others" not in doc["features"]
+            assert tops[cutoff] == doc["features"][int(np.argmax(col1))]
+        else:
+            assert doc["features"][int(np.argmax(col1))] == "others"
+    assert tops["0.5"] == tops["0.001"] == "f2"
+
+
 def test_score_csv_layout(workspace):
     tmp, data, model = workspace
     out = tmp / "scores.csv"

@@ -1,9 +1,16 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import anomex.data
 from anomex.data import (
+    Dataset,
     Classification,
     QuantileGrid,
     build_quantile_grid,
@@ -94,6 +101,226 @@ def test_dataset_rows_immutable():
     data = make_dataset([[1.0, 2.0]])
     with pytest.raises(ValueError):
         data.rows[0, 0] = 5.0
+
+
+# -- CSV differential tests ---------------------------------------------------
+#
+# load_csv/save_csv parse and write the body with numpy; the references
+# below are the csv-module implementations they replaced, cell by cell.
+# Bytes, values and error texts must match them exactly.
+
+
+def reference_save_csv(data, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        header = list(data.feature_names)
+        if data.labels is not None:
+            header.append("label")
+        writer.writerow(header)
+        for i in range(data.n_rows):
+            row = [repr(float(v)) for v in data.rows[i]]
+            if data.labels is not None:
+                row.append(str(int(data.labels[i])))
+            writer.writerow(row)
+
+
+def reference_load_csv(path, has_labels=False):
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        raw_rows = [row for row in reader if row]
+    if has_labels:
+        if header[-1] != "label":
+            raise DataError(f"{path}: expected trailing 'label' column, got {header[-1]!r}")
+        names = header[:-1]
+        if not names:
+            raise DataError(f"{path}: no feature columns besides 'label'")
+    else:
+        names = header
+    if not raw_rows:
+        raise DataError(f"{path}: no data rows")
+    width = len(header)
+    values = np.empty((len(raw_rows), width), dtype=np.float64)
+    for i, row in enumerate(raw_rows):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+        for j, cell in enumerate(row):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric cell {cell!r} at row {i + 1}, column {header[j]!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(f"{path}: non-finite cell at row {i + 1}, column {header[j]!r}")
+            values[i, j] = v
+    if has_labels:
+        labels = values[:, -1]
+        if not np.isin(labels, (0.0, 1.0)).all():
+            i = int(np.nonzero(~np.isin(labels, (0.0, 1.0)))[0][0])
+            raise DataError(f"{path}: label at row {i + 1} is not 0 or 1")
+        return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
+    return Dataset(tuple(names), values)
+
+
+def load_outcome(loader, path, has_labels):
+    """What a loader did: the exact bytes it returned, or its error text."""
+    try:
+        data = loader(path, has_labels=has_labels)
+    except (DataError, csv.Error) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    labels = None if data.labels is None else data.labels.tobytes()
+    return ("ok", data.feature_names, data.rows.shape, data.rows.tobytes(), labels)
+
+
+# repr switches to scientific notation below 1e-4 and at 1e16; subnormals
+# and the largest finite magnitudes stress the shortest-repr round trip.
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
+    1e308, -1e308, 1.7976931348623157e308, 1e-05, 9.999999999999999e-06,
+    0.0001, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1.0000000000000002e16,
+    0.1, -123.456, 1.0,
+]
+csv_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# header cells csv.writer must quote (comma, quote, line breaks), plus plain ones
+csv_names = st.sampled_from(
+    ["a", "b,c", 'say "hi"', "two\nlines", "cr\rname", "ünï", "x y", "#hash", "1e5"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.lists(csv_floats, min_size=d, max_size=d), min_size=1, max_size=12),
+            st.lists(csv_names, min_size=d, max_size=d, unique=True),
+        )
+    ),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_save_csv_matches_csv_writer_and_round_trips(table, with_labels, rnd):
+    rows, names = table
+    labels = [rnd.randint(0, 1) for _ in rows] if with_labels else None
+    data = Dataset(tuple(names), np.asarray(rows, dtype=np.float64), labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        fast, ref = Path(tmp) / "fast.csv", Path(tmp) / "ref.csv"
+        save_csv(data, fast)
+        reference_save_csv(data, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+        back = load_csv(fast, has_labels=with_labels)
+        assert back.feature_names == data.feature_names
+        assert back.rows.tobytes() == data.rows.tobytes()
+        assert (back.labels is None) == (labels is None)
+        if labels is not None:
+            assert back.labels.tolist() == labels
+        assert load_outcome(load_csv, fast, with_labels) == load_outcome(
+            reference_load_csv, fast, with_labels
+        )
+
+
+def test_save_csv_spans_several_blocks(tmp_path):
+    rng = np.random.default_rng(5)
+    n = 2 * anomex.data._SAVE_BLOCK_ROWS + 3
+    data = make_dataset(rng.normal(size=(n, 3)), labels=rng.integers(0, 2, n))
+    save_csv(data, tmp_path / "fast.csv")
+    reference_save_csv(data, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+MALFORMED_BODIES = {
+    "nan_cell": "1,2\nNaN,4\n",
+    "inf_cell": "1,2\n3,-inf\n",
+    "overflow_to_inf": "1,2\n1e400,4\n",
+    "underscore_digits": "1_0,2\n3,4\n",
+    "quoted_cell": '"1",2\n3,4\n',
+    "quoted_comma": '"1,5",2\n',
+    "short_row": "1,2\n3\n",
+    "long_row": "1,2\n3,4,5\n",
+    "trailing_comma": "1,2,\n3,4,\n",
+    "empty_cell": "1,\n",
+    "blank_line": "1,2\n\n3,4\n",
+    "blank_lines_only": "\n\n",
+    "crlf_blank_line": "1,2\r\n\r\n3,4\r\n",
+    "whitespace_only_line": "1,2\n   \n3,4\n",
+    "tab_only_line": "1,2\n\t\n",
+    "comment_line": "#note\n1,2\n",
+    "comment_after_data": "1,2\n# 3,4\n",
+    "hash_cell": "1,#2\n",
+    "header_only": "",
+    "padded_cells": " 1 ,\t2\n",
+    "non_ascii_digits": "١,2\n",
+    "non_ascii_space": " 1　,2\n",
+    "separator_char": "\x1c1,2\n",
+    "hex_float": "0x1p3,2\n",
+    "cr_line_ends": "1,2\r3,4\r",
+    "no_final_newline": "1,2\n3,4",
+    "words": "one,two\n",
+    "labels_not_binary": "1,2\n3,7\n",
+}
+
+
+@pytest.mark.parametrize("has_labels", [False, True])
+@pytest.mark.parametrize("case", sorted(MALFORMED_BODIES))
+def test_load_csv_matches_per_cell_reference(tmp_path, case, has_labels):
+    header = "a,label\n" if has_labels else "a,b\n"
+    p = tmp_path / f"{case}.csv"
+    p.write_bytes((header + MALFORMED_BODIES[case]).encode("utf-8"))
+    assert load_outcome(load_csv, p, has_labels) == load_outcome(reference_load_csv, p, has_labels)
+
+
+CELL_ALPHABET = [
+    "1", "-2.5", "1e-300", "0.1", "NaN", "inf", "1_0", '"3"', "", " 4 ", "#5",
+    "٢", "\x1f6", "7,", "x",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(CELL_ALPHABET), min_size=1, max_size=4).map(",".join),
+            st.sampled_from(["", "  ", "#c"]),
+        ),
+        max_size=6,
+    ),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_load_csv_fuzzed_bodies_match_reference(lines, newline):
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "fuzz.csv"
+        p.write_bytes(newline.join(["a,b", *lines]).encode("utf-8") + newline.encode())
+        assert load_outcome(load_csv, p, False) == load_outcome(reference_load_csv, p, False)
+
+
+def test_load_csv_overlong_cell_matches_reference(tmp_path):
+    # csv.reader refuses a cell longer than csv.field_size_limit(); loadtxt
+    # would parse it, so such a line must go through the csv module too
+    p = tmp_path / "long.csv"
+    p.write_text("a\n0." + "0" * csv.field_size_limit() + "1\n")
+    outcome = load_outcome(load_csv, p, False)
+    assert outcome[:2] == ("error", "Error")
+    assert outcome == load_outcome(reference_load_csv, p, False)
+
+
+def test_plain_csv_takes_the_vectorised_path(tmp_path, monkeypatch):
+    def per_cell(*args):
+        raise AssertionError("a plain decimal body must not be parsed cell by cell")
+
+    monkeypatch.setattr(anomex.data, "_parse_cells", per_cell)
+    p = tmp_path / "plain.csv"
+    p.write_text("a,b,label\n1,2.5e-3,0\n-0.0,4,1\n")
+    data = load_csv(p, has_labels=True)
+    assert data.rows.tolist() == [[1.0, 0.0025], [-0.0, 4.0]]
+    assert data.labels.tolist() == [0, 1]
 
 
 # -- quantile grid ------------------------------------------------------------

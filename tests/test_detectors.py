@@ -1,7 +1,12 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from anomex.data import fit_threshold
+from anomex.data import build_quantile_grid, fit_threshold
 from anomex.detectors import (
     IsolationForest,
     Loda,
@@ -10,7 +15,8 @@ from anomex.detectors import (
     load_model,
     save_model,
 )
-from anomex.errors import ModelError
+from anomex.errors import DataError, ModelError
+from anomex.explainer import Weights, explain
 
 from conftest import make_dataset
 
@@ -95,6 +101,29 @@ def test_if_dimension_mismatch(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=0)
     with pytest.raises(ModelError):
         model.score(np.zeros((3, 7)))
+
+
+@pytest.mark.parametrize("kind", ["iforest", "loda"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_score_rejects_non_finite_rows(gaussian_data, kind, bad):
+    if kind == "iforest":
+        model = IsolationForest.fit(gaussian_data, trees=10, subsample=32, seed=0)
+    else:
+        model = Loda.fit(gaussian_data, projections=10, bins=10, seed=0)
+    batch = np.zeros((3, 4))
+    batch[2, 1] = bad
+    with pytest.raises(DataError, match=r"non-finite value at row 3, column 'f1'"):
+        model.score(batch)
+    assert np.isfinite(model.score(np.zeros((3, 4)))).all()
+
+
+def test_explain_rejects_nan_point_through_detector(gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=10, subsample=32, seed=0)
+    grid = build_quantile_grid(gaussian_data, 5)
+    x = gaussian_data.rows[0].copy()
+    x[3] = np.nan
+    with pytest.raises(DataError, match=r"row 1, column 'f3'"):
+        explain(model.score, x, grid, Weights(), 0.5, feature_names=gaussian_data.feature_names)
 
 
 # -- loda -----------------------------------------------------------------------
@@ -219,6 +248,122 @@ def test_load_model_rejects_unknown_version(tmp_path):
     p.write_text('{"format_version": 99, "model_type": "iforest"}')
     with pytest.raises(ModelError, match="version"):
         load_model(p)
+
+
+def saved_document(tmp_path_factory, kind):
+    rng = np.random.default_rng(11)
+    data = make_dataset(rng.normal(size=(200, 3)))
+    if kind == "iforest":
+        model = IsolationForest.fit(data, trees=3, subsample=16, seed=2)
+    else:
+        model = Loda.fit(data, projections=3, bins=4, seed=2)
+    path = tmp_path_factory.mktemp(kind) / "model.json"
+    save_model(model, 0.5, 0.1, path)
+    return json.loads(path.read_text()), data
+
+
+@pytest.fixture(scope="module")
+def model_documents(tmp_path_factory):
+    return {kind: saved_document(tmp_path_factory, kind) for kind in ("iforest", "loda")}
+
+
+def _paths(doc, prefix=()):
+    """Every key path in a JSON document, parents before children."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+CORRUPT_VALUES = [None, "x", -1, 0, 1, 2, 3, 7, 16, 17, 10**6, -(10**6), 0.5, 1e308,
+                  float("nan"), float("inf"), [], {}, [1, 2], True]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(["iforest", "loda"]),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["drop", "set"]),
+                  st.sampled_from(CORRUPT_VALUES)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_corrupted_model_documents_fail_as_model_error(tmp_path, model_documents, kind, picks):
+    doc, data = model_documents[kind]
+    doc = copy.deepcopy(doc)
+    for index, action, value in picks:
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = paths[index % len(paths)]
+        container = doc
+        for k in parents:
+            container = container[k]
+        if action == "drop":
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(value)
+    path = tmp_path / "corrupt.json"
+    path.write_text(json.dumps(doc))
+    try:
+        model, threshold, _ = load_model(path)
+    except ModelError:
+        return
+    # a document that still loads must score like a model: finite, in range
+    scores = model.score(np.resize(data.rows, (5, len(model.feature_names))))
+    assert np.isfinite(scores).all() and np.isfinite(threshold)
+    if kind == "iforest":
+        assert ((scores > 0) & (scores < 1)).all()
+    else:
+        assert (scores >= 0).all()
+
+
+def point_deepest_split_at_root_children(doc):
+    """Make the deepest internal node's children loop back up the tree."""
+    tree = doc["model"]["trees"][0]
+    internal = [i for i, c in enumerate(tree["child"]) if c != -1]
+    deepest = max(internal, key=lambda i: tree["depth"][i])
+    assert tree["depth"][deepest] >= 1
+    tree["child"][deepest] = 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["model"].pop("trees"), "missing 'trees'"),
+        (lambda d: d["model"]["trees"][0]["feature"].__setitem__(0, 99), "feature index"),
+        (lambda d: d["model"]["trees"][1]["child"].__setitem__(0, 10**6), "child index"),
+        (lambda d: d["model"]["trees"][0]["depth"].pop(), "equal length"),
+        (point_deepest_split_at_root_children, "one level below"),
+        (lambda d: d["model"].pop("seed"), "missing 'seed'"),
+        (lambda d: d.pop("threshold"), "missing 'threshold'"),
+    ],
+    ids=["no-trees", "feature-range", "child-range", "ragged", "child-depth", "no-seed",
+         "no-threshold"],
+)
+def test_forest_document_errors_name_the_problem(tmp_path, model_documents, edit, message):
+    doc = copy.deepcopy(model_documents["iforest"][0])
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=message):
+        load_model(path)
+
+
+def test_loda_document_rejects_bad_histograms(tmp_path, model_documents):
+    for edit, message in [
+        (lambda d: d["model"]["histograms"][0].__setitem__("width", 0.0), "positive"),
+        (lambda d: d["model"]["histograms"].pop(), "one per projection"),
+        (lambda d: d["model"]["projections"][0].append(1.0), "not a numeric array"),
+        (lambda d: [row.append(1.0) for row in d["model"]["projections"]], r"got shape \(3, 4\)"),
+    ]:
+        doc = copy.deepcopy(model_documents["loda"][0])
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelError, match=message):
+            load_model(path)
 
 
 # -- average precision -------------------------------------------------------------
