@@ -115,19 +115,24 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip() for h in header]
-        values = _parse_plain_body(fh, len(header))
-        if values is None:
-            fh.seek(0)
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)
-            raw_rows = [row for row in reader if row]
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, expected a header row") from None
+            header = [h.strip() for h in header]
+            values = _parse_plain_body(fh, len(header))
+            if values is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                raw_rows = [row for row in reader if row]
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: line {_first_non_utf8_line(path)} is not valid UTF-8") from None
 
     if has_labels:
         if header[-1] != LABEL_COLUMN:
@@ -150,6 +155,21 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
             raise DataError(f"{path}: label at row {i + 1} is not 0 or 1")
         return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
     return Dataset(tuple(names), values)
+
+
+def _first_non_utf8_line(path: Path) -> int:
+    """1-based line of the first byte sequence that is not UTF-8.
+
+    The text reader decodes in chunks, so the position its error reports
+    is relative to a chunk; decoding the whole file again gives the line.
+    """
+    raw = path.read_bytes()
+    bad = len(raw)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.start
+    return raw.count(b"\n", 0, bad) + 1
 
 
 def _parse_plain_body(lines: Iterator[str], width: int) -> np.ndarray | None:

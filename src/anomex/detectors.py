@@ -20,6 +20,15 @@ import numpy as np
 from anomex.data import Dataset
 from anomex.errors import DataError, ModelError
 
+# Rows walked per block when scoring: bounds the (rows, n_trees) walker
+# matrices (3.3 MB each at 100 trees) whatever the batch size. Every row
+# is scored on its own, so the block size changes no result.
+_BLOCK_ROWS = 4096
+
+# Largest per-tree sample size; keeps the leaf-credit table built on load
+# (one float per possible node size) at 8 MB.
+MAX_SUBSAMPLE = 2**20
+
 
 def _as_batch(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
     """Check a batch against the model's features; reject non-finite cells.
@@ -47,11 +56,15 @@ def _require_keys(doc: object, keys: Sequence[str], what: str) -> None:
         raise ModelError(f"{what} is missing {', '.join(map(repr, missing))}")
 
 
-def _integer(value: object, what: str, minimum: int | None = None) -> int:
+def _integer(
+    value: object, what: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ModelError(f"{what!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ModelError(f"{what!r} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ModelError(f"{what!r} must be <= {maximum}, got {value}")
     return value
 
 
@@ -132,7 +145,8 @@ class IsolationForest:
         Args:
             data: training set, n >= 2 rows.
             trees: ensemble size, >= 1.
-            subsample: per-tree sample size psi; clamped to n.
+            subsample: per-tree sample size psi; clamped to n, at most
+                MAX_SUBSAMPLE after clamping.
             seed: RNG seed; equal seeds give byte-identical models.
         """
         n, d = data.rows.shape
@@ -143,6 +157,8 @@ class IsolationForest:
         if subsample < 2:
             raise ValueError(f"subsample must be >= 2, got {subsample}")
         psi = min(subsample, n)
+        if psi > MAX_SUBSAMPLE:
+            raise ValueError(f"subsample must be <= {MAX_SUBSAMPLE}, got {psi}")
         depth_limit = math.ceil(math.log2(psi))
         rng = np.random.default_rng(seed)
         grown = []
@@ -178,15 +194,72 @@ class IsolationForest:
     def score(self, x: np.ndarray) -> np.ndarray:
         """Anomaly scores in (0, 1) for a batch of samples."""
         batch = _as_batch(x, self.feature_names, "IsolationForest.score")
-        m = batch.shape[0]
-        rows = np.arange(m)[:, None]
-        node = np.broadcast_to(self._roots, (m, self.n_trees)).copy()
+        m, d = batch.shape
+        flat = batch.ravel()
+        out = np.empty(m)
+        for a in range(0, m, _BLOCK_ROWS):
+            rows = np.arange(a, min(a + _BLOCK_ROWS, m))
+            node = np.broadcast_to(self._roots, (rows.size, self.n_trees))
+            out[a : a + rows.size] = self._score_of(self._walk(flat, rows[:, None] * d, node))
+        return out
+
+    def score_sweep(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Scores of x with one feature at a time set to each of its values.
+
+        Entry [j, k] equals ``score`` of x with feature j replaced by
+        ``values[j, k]``, bit for bit. A swept row differs from x in one
+        coordinate, so a tree can score it differently only if x's own
+        path in that tree splits on the swept feature; only those
+        (tree, feature) pairs are walked, every other tree keeps x's leaf.
+        """
+        point = _as_batch(x, self.feature_names, "IsolationForest.score_sweep")
+        if point.shape[0] != 1:
+            raise ModelError(f"IsolationForest.score_sweep expects one sample, got {point.shape[0]}")
+        point = point[0]
+        d = point.size
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[0] != d or values.shape[1] == 0:
+            raise ModelError(f"sweep values must be ({d}, K >= 1), got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise DataError("IsolationForest.score_sweep: non-finite sweep value")
+        k = values.shape[1]
+
+        on_path = np.zeros((d, self.n_trees), dtype=bool)
+        trees = np.arange(self.n_trees)
+        node = self._roots
         for _ in range(self._max_depth):
-            feat = self._feature[node]
-            go_right = batch[rows, feat] >= self._threshold[node]
-            node = self._child[node] + go_right
-        depths = self._h_final[node].mean(axis=1)
-        return np.exp2(-depths / self.normalizer)
+            child, feature = self._child[node], self._feature[node]
+            split = child != node  # leaves loop back on themselves
+            on_path[feature[split], trees[split]] = True
+            node = child + (point[feature] >= self._threshold[node])
+        h_x = self._h_final[node]
+
+        out = np.empty((d, k))
+        per_block = max(1, _BLOCK_ROWS // k)
+        for a in range(0, d, per_block):
+            n = min(per_block, d - a)
+            batch = np.tile(point, (n * k, 1))
+            swept = np.arange(a, a + n)[:, None]
+            batch.reshape(n, k, d)[swept - a, np.arange(k), swept] = values[a : a + n]
+            feat, tree = np.nonzero(on_path[a : a + n])
+            rows = (feat[:, None] * k + np.arange(k)).ravel()
+            tree = np.repeat(tree, k)
+            h = np.tile(h_x, (n * k, 1))
+            h[rows, tree] = self._walk(batch.ravel(), rows * d, self._roots[tree])
+            out[a : a + n] = self._score_of(h).reshape(n, k)
+        return out
+
+    def _walk(self, flat: np.ndarray, base: np.ndarray, node: np.ndarray) -> np.ndarray:
+        """Leaf credit each walker reaches from ``node``; walkers read flat[base + feature]."""
+        # ndarray.take is a flat gather like indexing, with less per-call overhead
+        for _ in range(self._max_depth):
+            go_right = flat.take(base + self._feature.take(node)) >= self._threshold.take(node)
+            node = self._child.take(node) + go_right
+        return self._h_final.take(node)
+
+    def _score_of(self, h: np.ndarray) -> np.ndarray:
+        """Scores from a C-contiguous (rows, n_trees) matrix of leaf credits."""
+        return np.exp2(-h.mean(axis=1) / self.normalizer)
 
     # -- persistence ------------------------------------------------------
 
@@ -213,7 +286,7 @@ class IsolationForest:
         """Rebuild a forest from ``to_dict`` output; ModelError if malformed."""
         _require_keys(doc, ("feature_names", "subsample", "seed", "n_trees", "trees"), "model")
         names = _feature_names(doc["feature_names"])
-        subsample = _integer(doc["subsample"], "subsample", minimum=2)
+        subsample = _integer(doc["subsample"], "subsample", minimum=2, maximum=MAX_SUBSAMPLE)
         n_trees = _integer(doc["n_trees"], "n_trees", minimum=1)
         trees = doc["trees"]
         if not isinstance(trees, list) or len(trees) != n_trees:

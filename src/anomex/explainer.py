@@ -18,7 +18,14 @@ into four bounded metrics:
 Feature importance is the convex combination of the four, with weights
 summing to one; features are ranked by descending importance (ties by
 feature index). An explanation of a d-feature point over a K-level grid
-costs exactly d*K + 1 scorer evaluations.
+costs exactly d*K + 1 evaluations of a generic scorer.
+
+A fitted IsolationForest's own bound ``score`` is the one exception: it
+reaches the same scores, bit for bit, through ``score_sweep``, which
+walks only the trees whose path for x splits on the swept feature. Any
+wrapper around it (a lambda, an evaluation counter, a tracer) takes the
+generic path and sees all d*K + 1 evaluations; ``threads`` has no effect
+on the forest path.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from anomex.data import Classification, QuantileGrid, Scorer, classify, level_of
+from anomex.detectors import IsolationForest
 from anomex.errors import NumericError
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -182,8 +190,10 @@ def explain(
     """Explain the anomaly score of ``x``: curves, metrics, ranking.
 
     Performs exactly d*K + 1 scorer evaluations (one per feature-level
-    pair plus one for the point itself). With ``threads`` > 1 per-feature
-    curves are computed concurrently; the result is identical either way.
+    pair plus one for the point itself), except that a forest's bound
+    ``score`` sweeps through ``IsolationForest.score_sweep`` (see the
+    module docstring). With ``threads`` > 1 per-feature curves of other
+    scorers are computed concurrently; the result is identical either way.
 
     Args:
         scorer: batch scoring function, higher = more anomalous.
@@ -211,7 +221,12 @@ def explain(
     if not np.isfinite(s_x):
         raise NumericError("scorer returned a non-finite score for the explained point")
 
-    if threads > 1:
+    forest = getattr(scorer, "__self__", None)
+    if isinstance(forest, IsolationForest) and scorer == forest.score:
+        # the forest's own bound score, not a wrapper: same scores, on-path trees only
+        sweep = forest.score_sweep(x, grid.values)
+        curves = tuple(PerturbationCurve(j, grid.levels, sweep[j]) for j in range(d))
+    elif threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             curves = tuple(
                 pool.map(lambda j: perturbation_curve(scorer, x, j, grid), range(d))

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -185,6 +186,22 @@ def test_seed_from_environment(tmp_path, monkeypatch):
 def test_data_error_missing_input(tmp_path):
     assert invoke("fit", "--input", str(tmp_path / "nope.csv"), "--model", "iforest",
                   "--seed", "1", "--out", str(tmp_path / "m.json")) == 2
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"a,b\n1,2\n0." + b"0" * csv.field_size_limit() + b"1,2\n", "line 3: field larger"),
+        (b"a,b\n1,2\n3,4\n5,\xff6\n", "line 4 is not valid UTF-8"),
+    ],
+    ids=["overlong-cell", "not-utf8"],
+)
+def test_data_error_unreadable_csv(tmp_path, capsys, body, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    assert invoke("fit", "--input", str(bad), "--model", "iforest",
+                  "--seed", "1", "--out", str(tmp_path / "m.json")) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_data_error_no_anomalies(workspace, capsys, tmp_path):

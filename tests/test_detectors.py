@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from anomex.data import build_quantile_grid, fit_threshold
 from anomex.detectors import (
+    _BLOCK_ROWS,
+    MAX_SUBSAMPLE,
     IsolationForest,
     Loda,
     average_precision,
@@ -95,6 +97,76 @@ def test_if_degenerate_identical_rows_still_builds():
 def test_if_rejects_tiny_input():
     with pytest.raises(ValueError):
         IsolationForest.fit(make_dataset([[1.0]]), trees=5, subsample=4, seed=0)
+
+
+def test_if_rejects_subsample_above_the_maximum():
+    data = make_dataset(np.zeros(MAX_SUBSAMPLE + 1))
+    with pytest.raises(ValueError, match=f"subsample must be <= {MAX_SUBSAMPLE}"):
+        IsolationForest.fit(data, trees=1, subsample=MAX_SUBSAMPLE + 1, seed=0)
+
+
+def swept_batch(x, values):
+    """The (d*K, d) rows score_sweep stands for: x with feature j at values[j, k]."""
+    d, k = values.shape
+    batch = np.repeat(x[None, :], d * k, axis=0)
+    for j in range(d):
+        batch[j * k : (j + 1) * k, j] = values[j]
+    return batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    k=st.integers(2, 6),
+    n=st.integers(2, 30),
+    trees=st.integers(1, 8),
+    constant=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@example(d=1, k=2, n=2, trees=1, constant=[False] * 4, seed=0)
+@example(d=3, k=2, n=10, trees=4, constant=[True] * 4, seed=1)  # every tree a single leaf
+def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))
+    rows[:, np.asarray(constant[:d])] = 1.5
+    model = IsolationForest.fit(
+        make_dataset(rows), trees=trees, subsample=int(rng.integers(2, n + 1)), seed=seed
+    )
+    thresholds = [v for t in model.trees for v, c in zip(t["threshold"], t["child"]) if c != -1]
+    # split thresholds hit the >= tie; +-1e6 lies outside the training range
+    pool = np.concatenate([thresholds, rows.ravel(), [-1e6, 1e6]])
+    x = pool[rng.integers(pool.size, size=d)]
+    values = np.sort(pool[rng.integers(pool.size, size=(d, k))], axis=1)
+    expected = model.score(swept_batch(x, values)).reshape(d, k)
+    assert np.array_equal(model.score_sweep(x, values), expected)
+
+
+def test_score_is_blockwise_exact(gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=1)
+    rng = np.random.default_rng(5)
+    batch = rng.normal(size=(2 * _BLOCK_ROWS + 1, 4))
+    one_by_one = np.concatenate([model.score(row) for row in batch])
+    assert np.array_equal(model.score(batch), one_by_one)
+    assert model.score(np.empty((0, 4))).shape == (0,)
+    # a sweep longer than one block walks one feature per block
+    values = np.sort(rng.normal(size=(4, _BLOCK_ROWS // 2 + 1)), axis=1)
+    expected = model.score(swept_batch(batch[0], values)).reshape(values.shape)
+    assert np.array_equal(model.score_sweep(batch[0], values), expected)
+
+
+def test_score_sweep_rejects_bad_input(gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=0)
+    x, values = gaussian_data.rows[0], np.zeros((4, 3))
+    for bad_x, bad_values, error in [
+        (gaussian_data.rows[:2], values, ModelError),
+        (np.zeros(3), values, ModelError),
+        (x, np.zeros((3, 3)), ModelError),
+        (x, np.zeros((4, 0)), ModelError),
+        (np.full(4, np.inf), values, DataError),
+        (x, np.full((4, 3), np.nan), DataError),
+    ]:
+        with pytest.raises(error):
+            model.score_sweep(bad_x, bad_values)
 
 
 def test_if_dimension_mismatch(gaussian_data):
@@ -338,9 +410,10 @@ def point_deepest_split_at_root_children(doc):
         (point_deepest_split_at_root_children, "one level below"),
         (lambda d: d["model"].pop("seed"), "missing 'seed'"),
         (lambda d: d.pop("threshold"), "missing 'threshold'"),
+        (lambda d: d["model"].__setitem__("subsample", 10**13), "'subsample' must be <="),
     ],
     ids=["no-trees", "feature-range", "child-range", "ragged", "child-depth", "no-seed",
-         "no-threshold"],
+         "no-threshold", "huge-subsample"],
 )
 def test_forest_document_errors_name_the_problem(tmp_path, model_documents, edit, message):
     doc = copy.deepcopy(model_documents["iforest"][0])

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anomex.data import Classification, QuantileGrid, build_quantile_grid, fit_threshold
-from anomex.errors import NumericError
+from anomex.detectors import IsolationForest, Loda
+from anomex.errors import DataError, NumericError
 from anomex.explainer import (
     Weights,
     explain,
@@ -211,6 +214,52 @@ def test_explain_threads_match_serial():
     threaded = explain(scorer, data.rows[0], grid, Weights(), 0.0, threads=4)
     assert serial.importance.tobytes() == threaded.importance.tobytes()
     assert serial.ranking == threaded.ranking
+
+
+@pytest.fixture(scope="module")
+def fitted_detectors():
+    rng = np.random.default_rng(21)
+    data = make_dataset(rng.normal(size=(300, 5)))
+    return data, {
+        "iforest": IsolationForest.fit(data, trees=25, subsample=64, seed=3),
+        "loda": Loda.fit(data, projections=20, bins=10, seed=3),
+    }
+
+
+@pytest.mark.parametrize("kind", ["iforest", "loda"])
+def test_bound_detector_score_explains_like_any_scorer(fitted_detectors, kind):
+    data, models = fitted_detectors
+    det = models[kind]
+    grid = build_quantile_grid(data, 7)
+    scores = det.score(data.rows)
+    threshold = fit_threshold(scores, 0.1)
+    for i in (0, int(np.argmax(scores)), 17):
+        direct = explain(det.score, data.rows[i], grid, Weights(), threshold)
+        wrapped = explain(lambda b: det.score(b), data.rows[i], grid, Weights(), threshold)
+        assert json.dumps(explanation_to_dict(direct)) == json.dumps(explanation_to_dict(wrapped))
+    counting = CountingScorer(det.score)
+    explain(counting, data.rows[0], grid, Weights(), threshold)
+    assert counting.evaluations == 5 * 7 + 1
+    x = data.rows[0].copy()
+    x[2] = np.nan
+    with pytest.raises(DataError, match=r"row 1, column 'f2'"):
+        explain(det.score, x, grid, Weights(), threshold)
+
+
+def test_only_the_forests_own_score_takes_the_sweep(fitted_detectors, monkeypatch):
+    data, models = fitted_detectors
+    forest = models["iforest"]
+    calls = []
+    sweep = IsolationForest.score_sweep
+    monkeypatch.setattr(
+        IsolationForest, "score_sweep", lambda self, *a: calls.append(1) or sweep(self, *a)
+    )
+    grid = build_quantile_grid(data, 5)
+    explain(forest.score, data.rows[0], grid, Weights(), 0.5, threads=2)
+    assert len(calls) == 1
+    for wrapper in (lambda b: forest.score(b), CountingScorer(forest.score), models["loda"].score):
+        explain(wrapper, data.rows[0], grid, Weights(), 0.5)
+    assert len(calls) == 1
 
 
 def test_explain_self_consistency_on_grid_point():
