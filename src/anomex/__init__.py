@@ -17,6 +17,7 @@ from anomex.data import (
     classify,
     fit_threshold,
     level_of,
+    levels_of,
     load_csv,
     save_csv,
     value_at,
@@ -79,6 +80,7 @@ __all__ = [
     "classify",
     "fit_threshold",
     "level_of",
+    "levels_of",
     "load_csv",
     "save_csv",
     "value_at",

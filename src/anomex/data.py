@@ -308,12 +308,16 @@ def build_quantile_grid(data: Dataset, k_levels: int = 51) -> QuantileGrid:
     """Tabulate empirical quantiles of every feature at K evenly spaced levels.
 
     Quantiles interpolate linearly between order statistics, so K = 3
-    yields (minimum, median, maximum) per feature.
+    yields (minimum, median, maximum) per feature. Each column is sorted
+    on its own first: the order statistics are the same, and selecting
+    them from a sorted copy is cheaper than from the raw column.
     """
     if k_levels < 2:
         raise ValueError(f"need at least 2 quantile levels, got {k_levels}")
     levels = np.linspace(0.0, 1.0, k_levels)
-    values = np.quantile(data.rows, levels, axis=0).T
+    values = np.empty((data.n_features, k_levels))
+    for j in range(data.n_features):
+        values[j] = np.quantile(np.sort(data.rows[:, j]), levels, overwrite_input=True)
     return QuantileGrid(levels, values)
 
 
@@ -330,18 +334,33 @@ def level_of(grid: QuantileGrid, feature: int, value: float) -> float:
     range clamp to 0 or 1. On flat stretches of the quantile function the
     lowest matching level is returned.
     """
-    vals = grid.values[feature]
-    v = float(value)
-    if v <= vals[0]:
-        return 0.0
-    if v >= vals[-1]:
-        return 1.0
-    hi = int(np.searchsorted(vals, v, side="left"))
-    if vals[hi] == v:
-        return float(grid.levels[hi])
-    lo = hi - 1
-    frac = (v - vals[lo]) / (vals[hi] - vals[lo])
-    return float(grid.levels[lo] + frac * (grid.levels[hi] - grid.levels[lo]))
+    return float(_levels(grid.values[feature][None, :], grid.levels, np.asarray([float(value)]))[0])
+
+
+def levels_of(grid: QuantileGrid, point: np.ndarray) -> np.ndarray:
+    """``level_of`` for every feature at once: the (d,) levels of one point."""
+    point = np.asarray(point, dtype=np.float64).ravel()
+    if point.size != grid.n_features:
+        raise ValueError(f"point has {point.size} features but grid has {grid.n_features}")
+    return _levels(grid.values, grid.levels, point)
+
+
+def _levels(values: np.ndarray, levels: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise inverse interpolation of v[j] on the non-decreasing row values[j]."""
+    if not np.isfinite(v).all():
+        raise ValueError("a non-finite value has no quantile level")
+    # count of grid values below v: searchsorted(side="left") on every row
+    hi = np.minimum((values < v[:, None]).sum(axis=1), levels.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    rows = np.arange(v.size)
+    at_hi, at_lo = values[rows, hi], values[rows, lo]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows where v sits outside or on a value
+        frac = (v - at_lo) / (at_hi - at_lo)
+        inside = levels[lo] + frac * (levels[hi] - levels[lo])
+    out = np.where(at_hi == v, levels[hi], inside)
+    out[v >= values[:, -1]] = 1.0
+    out[v <= values[:, 0]] = 0.0
+    return out
 
 
 def fit_threshold(train_scores: Sequence[float] | np.ndarray, contamination: float) -> float:

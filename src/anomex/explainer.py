@@ -18,26 +18,29 @@ into four bounded metrics:
 Feature importance is the convex combination of the four, with weights
 summing to one; features are ranked by descending importance (ties by
 feature index). An explanation of a d-feature point over a K-level grid
-costs exactly d*K + 1 evaluations of a generic scorer.
+costs exactly d*K + 1 evaluations of a generic scorer. The sweep is one
+(d, K) score matrix, and the metrics of all features are computed over
+it at once.
 
-A fitted IsolationForest's own bound ``score`` is the one exception: it
-reaches the same scores, bit for bit, through ``score_sweep``, which
-walks only the trees whose path for x splits on the swept feature. Any
-wrapper around it (a lambda, an evaluation counter, a tracer) takes the
-generic path and sees all d*K + 1 evaluations; ``threads`` has no effect
-on the forest path.
+A built-in detector's own bound ``score`` (IsolationForest or Loda) is
+the one exception: it reaches the same scores, bit for bit, through the
+detector's ``score_sweep``, which recomputes only what the swept feature
+can change: the trees whose path for x splits on it, or the projections
+with a nonzero weight on it. Any wrapper around it (a lambda, an
+evaluation counter, a tracer) takes the generic path and sees all
+d*K + 1 evaluations; ``threads`` has no effect on the detector path.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from anomex.data import Classification, QuantileGrid, Scorer, classify, level_of
-from anomex.detectors import IsolationForest
+from anomex.data import Classification, QuantileGrid, Scorer, classify, levels_of
+from anomex.detectors import Detector
 from anomex.errors import NumericError
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -155,26 +158,32 @@ def feature_metrics(
     ``delta`` stays unset here; it requires the raw spans of every other
     feature in the explanation.
     """
-    scores = curve.scores
+    scores = np.asarray(curve.scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("empty perturbation curve")
-    lo = float(scores.min())
-    hi = float(scores.max())
-    raw_delta = hi - lo
-    if raw_delta > 0.0:
-        ratio = min(max((point_score - lo) / raw_delta, 0.0), 1.0)
-    else:
-        ratio = 0.0
-    point_anomalous = point_score > threshold
-    flips = (scores > threshold) != point_anomalous
-    if flips.any():
-        class_change = 1.0
-        nearest = float(np.abs(curve.levels[flips] - point_level).min())
-        change_distance = 1.0 - nearest
-    else:
-        class_change = 0.0
-        change_distance = 0.0
-    return FeatureMetrics(raw_delta, ratio, class_change, change_distance)
+    columns = _sweep_metrics(
+        scores[None, :], point_score, threshold, curve.levels, np.asarray([point_level])
+    )
+    return FeatureMetrics(*(float(c[0]) for c in columns))
+
+
+def _sweep_metrics(
+    sweep: np.ndarray,
+    point_score: float,
+    threshold: float,
+    levels: np.ndarray,
+    point_levels: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw delta, ratio, class change and change distance of every row of a (d, K) sweep."""
+    lo = sweep.min(axis=1)
+    raw_delta = sweep.max(axis=1) - lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(raw_delta > 0.0, np.clip((point_score - lo) / raw_delta, 0.0, 1.0), 0.0)
+    flips = (sweep > threshold) != (point_score > threshold)
+    changes = flips.any(axis=1)
+    nearest = np.where(flips, np.abs(levels - point_levels[:, None]), np.inf).min(axis=1)
+    change_distance = np.where(changes, 1.0 - nearest, 0.0)
+    return raw_delta, ratio, changes.astype(np.float64), change_distance
 
 
 def explain(
@@ -190,10 +199,11 @@ def explain(
     """Explain the anomaly score of ``x``: curves, metrics, ranking.
 
     Performs exactly d*K + 1 scorer evaluations (one per feature-level
-    pair plus one for the point itself), except that a forest's bound
-    ``score`` sweeps through ``IsolationForest.score_sweep`` (see the
-    module docstring). With ``threads`` > 1 per-feature curves of other
-    scorers are computed concurrently; the result is identical either way.
+    pair plus one for the point itself), except that a built-in
+    detector's bound ``score`` sweeps through its ``score_sweep`` (see
+    the module docstring). With ``threads`` > 1 per-feature curves of
+    other scorers are computed concurrently; the result is identical
+    either way.
 
     Args:
         scorer: batch scoring function, higher = more anomalous.
@@ -221,34 +231,32 @@ def explain(
     if not np.isfinite(s_x):
         raise NumericError("scorer returned a non-finite score for the explained point")
 
-    forest = getattr(scorer, "__self__", None)
-    if isinstance(forest, IsolationForest) and scorer == forest.score:
-        # the forest's own bound score, not a wrapper: same scores, on-path trees only
-        sweep = forest.score_sweep(x, grid.values)
-        curves = tuple(PerturbationCurve(j, grid.levels, sweep[j]) for j in range(d))
+    def curve(j: int) -> np.ndarray:
+        return perturbation_curve(scorer, x, j, grid).scores
+
+    owner = getattr(scorer, "__self__", None)
+    if isinstance(owner, Detector) and scorer == owner.score:
+        # a built-in detector's own bound score, not a wrapper: same scores, less work
+        sweep = owner.score_sweep(x, grid.values)
     elif threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            curves = tuple(
-                pool.map(lambda j: perturbation_curve(scorer, x, j, grid), range(d))
-            )
+            sweep = np.stack(list(pool.map(curve, range(d))))
     else:
-        curves = tuple(perturbation_curve(scorer, x, j, grid) for j in range(d))
+        sweep = np.stack([curve(j) for j in range(d)])
 
-    point_levels = np.asarray([level_of(grid, j, x[j]) for j in range(d)])
-    partial = [
-        feature_metrics(curves[j], s_x, threshold, point_levels[j]) for j in range(d)
-    ]
-    raw = np.asarray([m.raw_delta for m in partial])
-    max_raw = float(raw.max())
-    deltas = raw / max_raw if max_raw > 0.0 else np.zeros(d)
-    metrics = tuple(replace(m, delta=float(dv)) for m, dv in zip(partial, deltas))
-    importance = (
-        weights.delta * deltas
-        + weights.class_change * np.asarray([m.class_change for m in metrics])
-        + weights.change_distance * np.asarray([m.change_distance for m in metrics])
-        + weights.ratio * np.asarray([m.ratio for m in metrics])
+    point_levels = levels_of(grid, x)
+    raw_delta, ratio, class_change, change_distance = _sweep_metrics(
+        sweep, s_x, threshold, grid.levels, point_levels
     )
-    ranking = tuple(sorted(range(d), key=lambda j: (-importance[j], j)))
+    max_raw = float(raw_delta.max())
+    delta = raw_delta / max_raw if max_raw > 0.0 else np.zeros(d)
+    importance = (
+        weights.delta * delta
+        + weights.class_change * class_change
+        + weights.change_distance * change_distance
+        + weights.ratio * ratio
+    )
+    columns = (raw_delta, ratio, class_change, change_distance, delta)
     return LocalExplanation(
         point=x.copy(),
         score=s_x,
@@ -257,10 +265,10 @@ def explain(
         weights=weights,
         feature_names=names,
         point_levels=point_levels,
-        curves=curves,
-        metrics=metrics,
+        curves=tuple(PerturbationCurve(j, grid.levels, sweep[j]) for j in range(d)),
+        metrics=tuple(FeatureMetrics(*m) for m in zip(*(c.tolist() for c in columns))),
         importance=importance,
-        ranking=ranking,
+        ranking=tuple(np.argsort(-importance, kind="stable").tolist()),
     )
 
 

@@ -17,8 +17,8 @@ of their size.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,8 @@ from anomex.errors import NumericError
 
 EXACT_ENUMERATION_MAX_D = 16
 RIDGE_DAMPING = 1e-8
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +159,7 @@ def _constrained_wls(
         if not np.isfinite(head).all():
             raise np.linalg.LinAlgError("non-finite WLS solution")
     except np.linalg.LinAlgError:
-        warnings.warn(
-            "singular coalition regression; refitting with ridge damping",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        logger.warning("singular coalition regression; refitting with ridge damping")
         head = np.linalg.solve(gram + RIDGE_DAMPING * np.eye(d - 1), rhs)
         if not np.isfinite(head).all():
             raise NumericError("coalition regression failed even with ridge damping")

@@ -17,6 +17,7 @@ from anomex.data import (
     classify,
     fit_threshold,
     level_of,
+    levels_of,
     load_csv,
     save_csv,
     value_at,
@@ -374,6 +375,25 @@ def test_grid_matches_oracle_and_monotone(values, k):
     assert grid.values[0][-1] == max(values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 5),
+    k=st.integers(2, 30),
+    distinct=st.integers(1, 6),
+    constant=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_quantile_grid_matches_the_whole_matrix_quantile(n, d, k, distinct, constant, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))
+    rows[:, : d // 2] = rng.integers(0, distinct, size=(n, d // 2)) * 0.1  # ties
+    rows[:, np.asarray(constant[:d])] = 2.5
+    grid = build_quantile_grid(make_dataset(rows), k)
+    reference = np.quantile(rows, np.linspace(0.0, 1.0, k), axis=0).T
+    assert grid.values.tobytes() == reference.tobytes()
+
+
 def test_grid_rejects_small_k():
     with pytest.raises(ValueError):
         build_quantile_grid(make_dataset([1.0, 2.0]), 1)
@@ -398,6 +418,29 @@ def test_level_of_clamps_above_max():
 def test_level_of_interpolates():
     # inverse of the piecewise-linear CDF: 2 sits halfway between 1 and 3
     assert level_of(simple_grid(), 0, 2.0) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_levels_of_is_level_of_for_every_feature():
+    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    values = np.array([
+        [1.0, 3.0, 5.0, 7.0, 9.0],
+        [2.0, 2.0, 2.0, 4.0, 4.0],  # flat stretches: lowest matching level
+        [0.5, 0.5, 0.5, 0.5, 0.5],  # constant: at the value is level 0
+    ])
+    grid = QuantileGrid(levels, values)
+    for point in ([3.0, 2.0, 0.5], [0.0, 4.0, 1.0], [9.0, 3.0, 0.0], [2.2, 4.5, 0.5]):
+        expected = [level_of(grid, j, v) for j, v in enumerate(point)]
+        assert levels_of(grid, np.array(point)).tolist() == expected
+    assert levels_of(grid, np.array([3.0, 2.0, 0.5])).tolist() == [0.25, 0.0, 0.0]
+    # a value on the grid gets that level exactly, not an interpolation ending there
+    fine = build_quantile_grid(make_dataset(np.random.default_rng(0).normal(size=(500, 2))), 51)
+    for k in range(51):
+        assert levels_of(fine, fine.values[:, k]).tolist() == [fine.levels[k]] * 2
+    assert level_of(grid, 1, 3.0) == 0.625
+    with pytest.raises(ValueError, match="non-finite"):
+        level_of(grid, 0, float("nan"))
+    with pytest.raises(ValueError, match="grid has 3"):
+        levels_of(grid, np.zeros(2))
 
 
 def test_value_at_clamps_and_interpolates():

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -265,6 +266,132 @@ def test_loda_rejects_bad_params(gaussian_data):
         Loda.fit(gaussian_data, projections=0, bins=10, seed=0)
     with pytest.raises(ValueError):
         Loda.fit(gaussian_data, projections=10, bins=0, seed=0)
+
+
+def loda_document(projections, lo, width, probs):
+    """A LODA model rebuilt from a hand-written document, as ``load_model`` would."""
+    projections = np.asarray(projections, dtype=np.float64)
+    return Loda.from_dict({
+        "feature_names": [f"f{j}" for j in range(projections.shape[1])],
+        "seed": 0,
+        "projections": projections.tolist(),
+        "histograms": [
+            {"lo": float(a), "width": float(w), "probs": list(map(float, p))}
+            for a, w, p in zip(lo, width, probs)
+        ],
+    })
+
+
+def bin_edges(model):
+    """Every bin edge lo + b*width of every projection, plus the outer ones."""
+    return np.concatenate([
+        model.bin_lo[i] + np.arange(-1, p.size + 2) * model.bin_width[i]
+        for i, p in enumerate(model.bin_probs)
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    k=st.integers(1, 6),
+    n=st.integers(2, 30),
+    projections=st.integers(1, 8),
+    bins=st.integers(1, 6),
+    constant=st.lists(st.booleans(), min_size=5, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+@example(d=1, k=1, n=2, projections=1, bins=1, constant=[False] * 5, seed=0)
+@example(d=3, k=2, n=10, projections=4, bins=5, constant=[True] * 5, seed=1)  # single bins
+def test_loda_score_sweep_is_score_of_the_swept_batch(d, k, n, projections, bins, constant, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))
+    rows[:, np.asarray(constant[:d])] = 1.5
+    model = Loda.fit(make_dataset(rows), projections=projections, bins=bins, seed=seed)
+    # bin edges as coordinates hit the floor tie for single-weight projections;
+    # +-1e6 lies far outside the training range
+    pool = np.concatenate([bin_edges(model), rows.ravel(), [-1e6, 1e6]])
+    x = pool[rng.integers(pool.size, size=d)]
+    values = pool[rng.integers(pool.size, size=(d, k))]
+    expected = model.score(swept_batch(x, values)).reshape(d, k)
+    assert np.array_equal(model.score_sweep(x, values), expected)
+
+
+def test_loda_score_sweep_on_dense_and_zero_projections():
+    # weights of 1 put x_j itself on the projection: edges are exact coordinates
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(5, 4))
+    w[1] = 0.0  # all-zero projection: every row in the bin of z = 0
+    w[2] = [1.0, 0.0, 0.0, 0.0]
+    w[3] = [0.0, -2.5, 0.0, 1e-300]
+    lo = np.array([-3.0, -1.0, -2.0, -4.0, -3.5])
+    width = np.array([0.5, 1.0, 0.25, 2.0, 1.0])
+    probs = [rng.dirichlet(np.ones(b)) for b in (12, 1, 16, 4, 7)]
+    model = loda_document(w, lo, width, probs)
+    edges = bin_edges(model)
+    for _ in range(20):
+        x = edges[rng.integers(edges.size, size=4)]
+        values = np.concatenate([edges[rng.integers(edges.size, size=(4, 30))],
+                                 rng.normal(scale=5, size=(4, 5))], axis=1)
+        expected = model.score(swept_batch(x, values)).reshape(values.shape)
+        assert np.array_equal(model.score_sweep(x, values), expected)
+    # every p = 1: scores are -0.0, the negated mean of log p, as saved score files show
+    flat = loda_document(w, lo, width, [[1.0]] * 5)
+    assert np.signbit(flat.score(x[None, :])).all()
+    assert np.signbit(flat.score_sweep(x, values)).all()
+
+
+def test_loda_score_sweep_spans_blocks(gaussian_data):
+    model = Loda.fit(gaussian_data, projections=10, bins=20, seed=1)
+    rng = np.random.default_rng(5)
+    x = gaussian_data.rows[0]
+    values = rng.normal(scale=2, size=(4, _BLOCK_ROWS // 2 + 1))  # one feature per block
+    expected = model.score(swept_batch(x, values)).reshape(values.shape)
+    assert np.array_equal(model.score_sweep(x, values), expected)
+    with pytest.raises(ModelError, match="one sample"):
+        model.score_sweep(gaussian_data.rows[:2], values)
+    with pytest.raises(DataError, match="non-finite sweep value"):
+        model.score_sweep(x, np.full((4, 3), np.nan))
+
+
+def test_loda_rows_score_on_their_own(gaussian_data):
+    model = Loda.fit(gaussian_data, projections=30, bins=25, seed=2)
+    batch = np.random.default_rng(6).normal(scale=3, size=(3000, 4))
+    scores = model.score(batch)
+    assert np.array_equal(scores, np.concatenate([model.score(row) for row in batch]))
+    assert model.score(np.empty((0, 4))).shape == (0,)
+
+
+def test_loda_scores_match_the_dense_projection_away_from_bin_edges():
+    rng = np.random.default_rng(8)
+    data = make_dataset(rng.normal(size=(500, 20)))
+    model = Loda.fit(data, projections=50, bins=30, seed=8)
+    batch = rng.normal(scale=1.5, size=(2000, 20))
+    z = batch @ model.projections.T
+    q = (z - model.bin_lo) / model.bin_width
+    n_bins = np.asarray([p.size for p in model.bin_probs])
+    idx = np.clip(np.floor(q).astype(np.int64), 0, n_bins - 1)
+    p = np.stack([model.bin_probs[i][idx[:, i]] for i in range(50)], axis=1)  # C order
+    reference = -np.log(p).mean(axis=1)
+    gap = np.abs(q - np.round(q)) * model.bin_width
+    clear = (gap > 1e-9 * (np.abs(z) + np.abs(model.bin_lo) + 1.0)).all(axis=1)
+    assert clear.mean() > 0.99
+    assert np.array_equal(model.score(batch)[clear], reference[clear])
+
+
+def test_loda_tiny_bin_width_sends_rows_to_their_edge_bin():
+    # (z - lo) / 1e-308 overflows for |z| > 1.8: above lo is the last bin, below the first
+    probs = [np.array([0.1, 0.2, 0.3, 0.4])] * 2
+    model = loda_document([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1e-308, 1e-308], probs)
+    batch = np.array([[5.0, 1.0], [-5.0, -2.0], [0.0, 3.0]])
+    sweep_values = np.array([[5.0, -5.0, 0.0], [1.0, -2.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scores = model.score(batch)
+        sweep = model.score_sweep(batch[0], sweep_values)
+    p = np.array([[0.4, 0.4], [0.1, 0.1], [0.1, 0.4]])
+    assert np.array_equal(scores, -np.log(p).mean(axis=1))
+    swept = np.array([[[0.4, 0.4], [0.1, 0.4], [0.1, 0.4]], [[0.4, 0.4], [0.4, 0.1], [0.4, 0.4]]])
+    assert np.array_equal(sweep, -np.log(swept).mean(axis=2))
 
 
 # -- orientation on labeled synthetic data --------------------------------------

@@ -262,6 +262,85 @@ def test_only_the_forests_own_score_takes_the_sweep(fitted_detectors, monkeypatc
     assert len(calls) == 1
 
 
+def test_each_detectors_own_score_takes_its_sweep(fitted_detectors, monkeypatch):
+    data, models = fitted_detectors
+    loda = models["loda"]
+    calls = []
+    sweep = Loda.score_sweep
+    monkeypatch.setattr(Loda, "score_sweep", lambda self, *a: calls.append(1) or sweep(self, *a))
+    grid = build_quantile_grid(data, 5)
+    explain(loda.score, data.rows[0], grid, Weights(), 0.5, threads=2)
+    assert len(calls) == 1
+    for other in (lambda b: loda.score(b), CountingScorer(loda.score), models["iforest"].score):
+        explain(other, data.rows[0], grid, Weights(), 0.5)
+    assert len(calls) == 1
+
+
+def reference_explanation(scorer, x, grid, weights, threshold):
+    """Per-feature metrics, as explain computed them one curve at a time."""
+    s_x = float(scorer(x[None, :])[0])
+    rows = []
+    for j in range(grid.n_features):
+        vals = grid.values[j]
+        v = float(x[j])
+        if v <= vals[0]:
+            level = 0.0
+        elif v >= vals[-1]:
+            level = 1.0
+        else:
+            hi = int(np.searchsorted(vals, v, side="left"))
+            lo = hi - 1
+            level = float(grid.levels[hi]) if vals[hi] == v else float(
+                grid.levels[lo]
+                + (v - vals[lo]) / (vals[hi] - vals[lo]) * (grid.levels[hi] - grid.levels[lo])
+            )
+        batch = np.repeat(x[None, :], grid.n_levels, axis=0)
+        batch[:, j] = vals
+        scores = np.asarray(scorer(batch), dtype=np.float64)
+        low, high = float(scores.min()), float(scores.max())
+        raw = high - low
+        ratio = min(max((s_x - low) / raw, 0.0), 1.0) if raw > 0.0 else 0.0
+        flips = (scores > threshold) != (s_x > threshold)
+        if flips.any():
+            change, distance = 1.0, 1.0 - float(np.abs(grid.levels[flips] - level).min())
+        else:
+            change, distance = 0.0, 0.0
+        rows.append((level, raw, ratio, change, distance))
+    levels, raw, ratio, change, distance = map(np.asarray, zip(*rows))
+    delta = raw / raw.max() if raw.max() > 0.0 else np.zeros(len(raw))
+    importance = (
+        weights.delta * delta + weights.class_change * change
+        + weights.change_distance * distance + weights.ratio * ratio
+    )
+    ranking = tuple(sorted(range(len(raw)), key=lambda j: (-importance[j], j)))
+    return levels, np.stack([raw, ratio, change, distance, delta], axis=1), importance, ranking
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_explain_matches_the_per_feature_reference(seed, coarse):
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    rows = rng.normal(size=(int(rng.integers(5, 40)), d))
+    if coarse:  # ties in the grid, flat curves and tied importances
+        rows = np.round(rows)
+    grid = build_quantile_grid(make_dataset(rows), int(rng.integers(2, 12)))
+    scorer = random_scorer(rng, d)
+    if coarse:
+        scorer = (lambda f: lambda X: np.round(f(X)))(scorer)
+    tau = float(np.quantile(scorer(rows), 0.8))
+    x = np.where(rng.random(d) < 0.5, rows[0], rng.normal(scale=2, size=d))
+    weights = Weights()
+    expl = explain(scorer, x, grid, weights, tau)
+    levels, metrics, importance, ranking = reference_explanation(scorer, x, grid, weights, tau)
+    got = np.asarray([(m.raw_delta, m.ratio, m.class_change, m.change_distance, m.delta)
+                      for m in expl.metrics])
+    assert expl.point_levels.tobytes() == levels.tobytes()
+    assert got.tobytes() == metrics.tobytes()
+    assert expl.importance.tobytes() == importance.tobytes()
+    assert expl.ranking == ranking
+
+
 def test_explain_self_consistency_on_grid_point():
     # identity scorer, x's feature value on the grid: the curve hits s(x) exactly
     grid = two_feature_grid()

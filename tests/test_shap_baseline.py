@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -164,3 +165,17 @@ def test_document_shape():
     assert len(doc["phi"]) == 2
     assert doc["background_size"] == 1
     assert doc["phi0"] + sum(doc["phi"]) == pytest.approx(doc["score"], abs=1e-9)
+
+
+def test_singular_regression_logs_the_ridge_fallback(caplog):
+    # d = 3 with a single sampled coalition: the 2x2 normal system has rank 1
+    rng = np.random.default_rng(0)
+    bg = make_dataset(rng.normal(size=(20, 3)))
+    x = np.array([1.0, -2.0, 0.5])
+    with caplog.at_level(logging.WARNING, logger="anomex.shap_baseline"):
+        expl = kernel_shap(lambda X: X @ np.array([1.0, 2.0, 3.0]), x, bg, coalitions=3, seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "singular coalition regression; refitting with ridge damping"
+    ]
+    assert caplog.records[0].name == "anomex.shap_baseline"
+    assert expl.phi.sum() == pytest.approx(expl.score - expl.base_value, abs=1e-9)
