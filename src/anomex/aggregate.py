@@ -18,7 +18,7 @@ import numpy as np
 
 from anomex.data import Dataset, QuantileGrid, Scorer
 from anomex.errors import DataError
-from anomex.explainer import Weights, explain
+from anomex.explainer import Weights, _as_point, _rank_features, validate_weights
 
 OTHERS_NAME = "others"
 DEFAULT_CUTOFF = 0.05
@@ -102,12 +102,12 @@ def overall_importance(
         raise DataError("no anomalies detected")
     if top_positions is None:
         top_positions = min(data.n_features, 10)
+    if not isinstance(weights, Weights):
+        weights = validate_weights(weights)
 
-    def one(i: int):
-        return explain(
-            scorer, data.rows[i], grid, weights, threshold,
-            feature_names=data.feature_names,
-        ).ranking
+    def one(i: int) -> tuple[int, ...]:
+        x = _as_point(data.rows[i], grid)
+        return _rank_features(scorer, x, grid, weights, threshold).ranking
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -264,6 +264,86 @@ class IsolationForest:
             out[a : a + n] = self._score_of(h).reshape(n, k)
         return out
 
+    def score_coalitions(
+        self, x: np.ndarray, background: np.ndarray, masks: np.ndarray
+    ) -> np.ndarray:
+        """Scores of the background rows with each coalition's features taken from x.
+
+        Entry [i, b] equals ``score`` of background row b with the features
+        in ``masks[i]`` set to x's values, bit for bit. In one tree such a
+        hybrid row reaches b's leaf unless b's path splits on a coalition
+        feature where x and b go different ways, and x's leaf unless x's
+        path splits on a feature outside the coalition where they do. Those
+        features are recorded once per (row, tree) as bitmasks; only the
+        pairs that pass neither test are walked.
+        """
+        what = "IsolationForest.score_coalitions"
+        point = _as_batch(x, self.feature_names, what)
+        if point.shape[0] != 1:
+            raise ModelError(f"{what} expects one sample, got {point.shape[0]}")
+        point = point[0]
+        bg = _as_batch(background, self.feature_names, what)
+        d = point.size
+        masks = np.asarray(masks)
+        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != d:
+            raise ModelError(
+                f"coalition masks must be a boolean (n, {d}) array, "
+                f"got {masks.dtype} of shape {masks.shape}"
+            )
+        # bit j % 64 of word j // 64 stands for feature j
+        words = -(-d // 64)
+        padded = np.zeros((len(masks), words * 64), dtype=np.uint64)
+        padded[:, :d] = masks
+        inside = (padded.reshape(-1, words, 64) << np.arange(64, dtype=np.uint64)).sum(
+            axis=2, dtype=np.uint64
+        )
+        outside = ~inside  # bits past d are never set in a path mask
+
+        x_path = []  # x's (node, goes right) per tree at every depth
+        node = self._roots
+        for _ in range(self._max_depth):
+            right = point.take(self._feature.take(node)) >= self._threshold.take(node)
+            x_path.append((node, right))
+            node = self._child.take(node) + right
+        h_x = self._h_final.take(node)
+
+        out = np.empty((len(masks), len(bg)))
+        for a in range(0, len(bg), _BLOCK_ROWS):
+            block = bg[a : a + _BLOCK_ROWS]
+            rows = len(block)
+            base = np.arange(rows)[:, None] * d
+            flat = block.ravel()
+            # features on b's path where x goes the other way, then on x's path
+            # where b goes the other way; leaves compare False on both sides
+            off_b = np.zeros((words, rows, self.n_trees), dtype=np.uint64)
+            node = np.broadcast_to(self._roots, (rows, self.n_trees))
+            for _ in range(self._max_depth):
+                feature, threshold = self._feature.take(node), self._threshold.take(node)
+                right = flat.take(base + feature) >= threshold
+                _mark(off_b, feature, right != (point.take(feature) >= threshold))
+                node = self._child.take(node) + right
+            h_b = self._h_final.take(node)
+            off_x = np.zeros_like(off_b)
+            for x_node, x_right in x_path:
+                feature = self._feature.take(x_node)
+                right = flat.take(base + feature) >= self._threshold.take(x_node)
+                _mark(off_x, np.broadcast_to(feature, right.shape), right != x_right)
+
+            for i in range(len(masks)):
+                leaves_b = (off_b[0] & inside[i, 0]) != 0
+                leaves_x = (off_x[0] & outside[i, 0]) != 0
+                for w in range(1, words):
+                    leaves_b |= (off_b[w] & inside[i, w]) != 0
+                    leaves_x |= (off_x[w] & outside[i, w]) != 0
+                h = np.where(leaves_b, h_x, h_b)
+                cell = np.flatnonzero(leaves_b & leaves_x)
+                if cell.size:
+                    r, t = np.divmod(cell, self.n_trees)
+                    hybrid = np.where(masks[i], point, block)
+                    h.put(cell, self._walk(hybrid.ravel(), r * d, self._roots.take(t)))
+                out[i, a : a + rows] = self._score_of(h)
+        return out
+
     def _walk(self, flat: np.ndarray, base: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Leaf credit each walker reaches from ``node``; walkers read flat[base + feature]."""
         # ndarray.take is a flat gather like indexing, with less per-call overhead
@@ -308,6 +388,13 @@ class IsolationForest:
             raise ModelError(f"'trees' must be a list of n_trees={n_trees} trees")
         _check_trees(trees, len(names), subsample)
         return cls(names, trees, subsample, _integer(doc["seed"], "seed"), n_trees)
+
+
+def _mark(bits: np.ndarray, feature: np.ndarray, where: np.ndarray) -> None:
+    """Set ``feature``'s bit in the (words, rows, trees) masks wherever ``where`` holds."""
+    cell = np.flatnonzero(where)
+    f = feature[where]
+    bits.reshape(bits.shape[0], -1)[f >> 6, cell] |= np.uint64(1) << (f & 63).astype(np.uint64)
 
 
 _TREE_FIELDS = (
@@ -635,6 +722,18 @@ MODEL_FORMAT_VERSION = 1
 _MODEL_TYPES = {"iforest": IsolationForest, "loda": Loda}
 
 Detector = IsolationForest | Loda
+
+
+def bound_detector(scorer: object) -> Detector | None:
+    """The built-in detector whose own bound ``score`` ``scorer`` is, else None.
+
+    A wrapper around it (a lambda, an evaluation counter, a tracer) is
+    not the bound method, so callers keep one scorer call per batch for it.
+    """
+    owner = getattr(scorer, "__self__", None)
+    if isinstance(owner, Detector) and scorer == owner.score:
+        return owner
+    return None
 
 
 def save_model(

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from anomex.data import Classification, QuantileGrid, Scorer, classify, levels_of
-from anomex.detectors import Detector
+from anomex.detectors import bound_detector
 from anomex.errors import NumericError
 
 WEIGHT_SUM_TOLERANCE = 1e-9
@@ -124,6 +124,10 @@ def perturbation_curve(
 
     Exactly one scorer evaluation per grid level; x is never mutated.
     """
+    return PerturbationCurve(feature, grid.levels, _curve_scores(scorer, x, feature, grid))
+
+
+def _curve_scores(scorer: Scorer, x: np.ndarray, feature: int, grid: QuantileGrid) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64).ravel()
     d = grid.n_features
     if x.size != d:
@@ -144,7 +148,7 @@ def perturbation_curve(
             f"scorer returned non-finite score for feature {feature} "
             f"at level {grid.levels[k]:g}"
         )
-    return PerturbationCurve(feature, grid.levels, scores)
+    return scores
 
 
 def feature_metrics(
@@ -186,6 +190,75 @@ def _sweep_metrics(
     return raw_delta, ratio, changes.astype(np.float64), change_distance
 
 
+class _Ranked(NamedTuple):
+    """What one explanation computes, before the per-feature views."""
+
+    score: float
+    sweep: np.ndarray  # (d, K) scores
+    point_levels: np.ndarray
+    metrics: tuple[np.ndarray, ...]  # raw delta, ratio, class change, change distance, delta
+    importance: np.ndarray
+    ranking: tuple[int, ...]
+
+
+def _as_point(x: np.ndarray, grid: QuantileGrid) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64).ravel()
+    if x.size != grid.n_features:
+        raise ValueError(f"point has {x.size} features but grid has {grid.n_features}")
+    return x
+
+
+def _rank_features(
+    scorer: Scorer,
+    x: np.ndarray,
+    grid: QuantileGrid,
+    weights: Weights,
+    threshold: float,
+    threads: int = 1,
+) -> _Ranked:
+    """Score x and its (d, K) sweep; metrics, importance and ranking over it at once.
+
+    ``x`` comes from ``_as_point``. Shared by ``explain`` and by callers
+    that need only the ranking, which skip the per-feature objects.
+    """
+    s_x = float(np.asarray(scorer(x[None, :]), dtype=np.float64).ravel()[0])
+    if not np.isfinite(s_x):
+        raise NumericError("scorer returned a non-finite score for the explained point")
+
+    def curve(j: int) -> np.ndarray:
+        return _curve_scores(scorer, x, j, grid)
+
+    detector = bound_detector(scorer)
+    if detector is not None:
+        sweep = detector.score_sweep(x, grid.values)
+    elif threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sweep = np.stack(list(pool.map(curve, range(grid.n_features))))
+    else:
+        sweep = np.stack([curve(j) for j in range(grid.n_features)])
+
+    point_levels = levels_of(grid, x)
+    raw_delta, ratio, class_change, change_distance = _sweep_metrics(
+        sweep, s_x, threshold, grid.levels, point_levels
+    )
+    max_raw = float(raw_delta.max())
+    delta = raw_delta / max_raw if max_raw > 0.0 else np.zeros(grid.n_features)
+    importance = (
+        weights.delta * delta
+        + weights.class_change * class_change
+        + weights.change_distance * change_distance
+        + weights.ratio * ratio
+    )
+    return _Ranked(
+        score=s_x,
+        sweep=sweep,
+        point_levels=point_levels,
+        metrics=(raw_delta, ratio, class_change, change_distance, delta),
+        importance=importance,
+        ranking=tuple(np.argsort(-importance, kind="stable").tolist()),
+    )
+
+
 def explain(
     scorer: Scorer,
     x: np.ndarray,
@@ -216,10 +289,8 @@ def explain(
     """
     if not isinstance(weights, Weights):
         weights = validate_weights(weights)
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = _as_point(x, grid)
     d = grid.n_features
-    if x.size != d:
-        raise ValueError(f"point has {x.size} features but grid has {d}")
     if feature_names is None:
         names = tuple(f"f{j}" for j in range(d))
     else:
@@ -227,48 +298,19 @@ def explain(
         if len(names) != d:
             raise ValueError(f"{len(names)} feature names for {d} features")
 
-    s_x = float(np.asarray(scorer(x[None, :]), dtype=np.float64).ravel()[0])
-    if not np.isfinite(s_x):
-        raise NumericError("scorer returned a non-finite score for the explained point")
-
-    def curve(j: int) -> np.ndarray:
-        return perturbation_curve(scorer, x, j, grid).scores
-
-    owner = getattr(scorer, "__self__", None)
-    if isinstance(owner, Detector) and scorer == owner.score:
-        # a built-in detector's own bound score, not a wrapper: same scores, less work
-        sweep = owner.score_sweep(x, grid.values)
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sweep = np.stack(list(pool.map(curve, range(d))))
-    else:
-        sweep = np.stack([curve(j) for j in range(d)])
-
-    point_levels = levels_of(grid, x)
-    raw_delta, ratio, class_change, change_distance = _sweep_metrics(
-        sweep, s_x, threshold, grid.levels, point_levels
-    )
-    max_raw = float(raw_delta.max())
-    delta = raw_delta / max_raw if max_raw > 0.0 else np.zeros(d)
-    importance = (
-        weights.delta * delta
-        + weights.class_change * class_change
-        + weights.change_distance * change_distance
-        + weights.ratio * ratio
-    )
-    columns = (raw_delta, ratio, class_change, change_distance, delta)
+    ranked = _rank_features(scorer, x, grid, weights, threshold, threads)
     return LocalExplanation(
         point=x.copy(),
-        score=s_x,
-        classification=classify(s_x, threshold),
+        score=ranked.score,
+        classification=classify(ranked.score, threshold),
         threshold=threshold,
         weights=weights,
         feature_names=names,
-        point_levels=point_levels,
-        curves=tuple(PerturbationCurve(j, grid.levels, sweep[j]) for j in range(d)),
-        metrics=tuple(FeatureMetrics(*m) for m in zip(*(c.tolist() for c in columns))),
-        importance=importance,
-        ranking=tuple(np.argsort(-importance, kind="stable").tolist()),
+        point_levels=ranked.point_levels,
+        curves=tuple(PerturbationCurve(j, grid.levels, ranked.sweep[j]) for j in range(d)),
+        metrics=tuple(FeatureMetrics(*m) for m in zip(*(c.tolist() for c in ranked.metrics))),
+        importance=ranked.importance,
+        ranking=ranked.ranking,
     )
 
 

@@ -13,6 +13,15 @@ enumerated and weighted by the exact Shapley kernel, which makes the
 result equal to brute-force Shapley values. Otherwise interior
 coalitions are sampled with probability proportional to the kernel mass
 of their size.
+
+A generic scorer is called once per coalition on all the hybrid rows.
+An Isolation Forest's own bound ``score`` is the one exception: it
+reaches the same values, bit for bit, through the forest's
+``score_coalitions``, which walks a (row, tree) pair only when the
+hybrid row can leave both the background row's path and x's path. Any
+wrapper around it (a lambda, an evaluation counter, a tracer) and LODA
+keep one call per coalition. Either way the cost stays linear in the
+background size.
 """
 
 from __future__ import annotations
@@ -20,14 +29,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from anomex.data import Dataset, Scorer
+from anomex.detectors import IsolationForest, bound_detector
 from anomex.errors import NumericError
 
 EXACT_ENUMERATION_MAX_D = 16
 RIDGE_DAMPING = 1e-8
+# Cells of the (masks, background rows) score matrix per call of a
+# forest's score_coalitions: 8 MB, whatever the background size.
+_COALITION_CELLS = 2**20
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +75,13 @@ def sample_background(data: Dataset, fraction: float, seed: int) -> Dataset:
 
 def _shapley_kernel(d: int, size: int) -> float:
     return (d - 1) / (math.comb(d, size) * size * (d - size))
+
+
+def _enumerated_coalitions(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every interior coalition, the i-th one being i in binary, and its kernel weight."""
+    masks = ((np.arange(1, 2**d - 1)[:, None] >> np.arange(d)) & 1).astype(bool)
+    kernel = np.asarray([0.0] + [_shapley_kernel(d, s) for s in range(1, d)])
+    return masks, kernel[masks.sum(axis=1)]
 
 
 def kernel_shap(
@@ -101,11 +122,7 @@ def kernel_shap(
 
     exact = d <= EXACT_ENUMERATION_MAX_D and coalitions >= 2**d
     if exact:
-        masks = np.zeros((2**d - 2, d), dtype=bool)
-        for i in range(1, 2**d - 1):
-            masks[i - 1] = [(i >> j) & 1 for j in range(d)]
-        sizes = masks.sum(axis=1)
-        weights = np.asarray([_shapley_kernel(d, int(s)) for s in sizes])
+        masks, weights = _enumerated_coalitions(d)
     else:
         rng = np.random.default_rng(seed)
         interior = coalitions - 2
@@ -119,11 +136,8 @@ def kernel_shap(
         weights = np.ones(interior)
 
     values = np.empty(len(masks))
-    hybrid = np.empty_like(bg)
-    for i, mask in enumerate(masks):
-        hybrid[:] = bg
-        hybrid[:, mask] = x[mask]
-        v = np.asarray(scorer(hybrid), dtype=np.float64)
+    for i, v in enumerate(_coalition_scores(scorer, x, bg, masks)):
+        v = np.asarray(v, dtype=np.float64)
         if not np.isfinite(v).all():
             raise NumericError("scorer returned a non-finite score for a masked sample")
         values[i] = v.mean()
@@ -131,6 +145,28 @@ def kernel_shap(
     phi = _constrained_wls(masks, values, weights, base_value, score)
     n_evals = len(masks) + 2
     return ShapExplanation(base_value, phi, score, n_evals, len(bg))
+
+
+def _coalition_scores(
+    scorer: Scorer, x: np.ndarray, bg: np.ndarray, masks: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Background scores of each coalition's hybrid rows, in mask order.
+
+    A forest's own bound ``score`` evaluates them path-locally, in chunks
+    of masks that bound the (masks, rows) score matrix; any other scorer
+    gets one call per coalition.
+    """
+    forest = bound_detector(scorer)
+    if isinstance(forest, IsolationForest):
+        per_call = max(1, _COALITION_CELLS // max(1, len(bg)))
+        for a in range(0, len(masks), per_call):
+            yield from forest.score_coalitions(x, bg, masks[a : a + per_call])
+        return
+    hybrid = np.empty_like(bg)
+    for mask in masks:
+        hybrid[:] = bg
+        hybrid[:, mask] = x[mask]
+        yield scorer(hybrid)
 
 
 def _constrained_wls(

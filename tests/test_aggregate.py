@@ -9,9 +9,9 @@ from anomex.aggregate import (
     rank_histogram,
 )
 from anomex.data import build_quantile_grid, fit_threshold
-from anomex.detectors import IsolationForest
+from anomex.detectors import IsolationForest, Loda
 from anomex.errors import DataError
-from anomex.explainer import Weights
+from anomex.explainer import Weights, explain
 from anomex.synth import SynthSpec, generate
 
 from conftest import make_dataset
@@ -109,6 +109,37 @@ def test_overall_importance_recovers_injected_root_feature():
         for i in flagged
     ]
     assert hist.matrix[3, 0] == pytest.approx(rank1.count(3) / len(flagged))
+
+
+def test_overall_importance_is_the_histogram_of_explain_rankings(monkeypatch):
+    # bit for bit, without building a per-feature curve or metric object
+    from anomex import explainer
+
+    data = generate(SynthSpec(600, 30, 5, 1, 4.0, seed=4))
+    forest = IsolationForest.fit(data, trees=30, subsample=64, seed=0)
+    loda = Loda.fit(data, projections=20, bins=10, seed=0)
+    grid = build_quantile_grid(data, 9)
+    weights = Weights(0.4, 0.2, 0.2, 0.2)
+    scorers = (forest.score, loda.score, lambda X: forest.score(X))
+    expected = []
+    for scorer in scorers:
+        scores = scorer(data.rows)
+        tau = fit_threshold(scores, 0.05)
+        rankings = [
+            explain(scorer, data.rows[i], grid, weights, tau).ranking
+            for i in np.nonzero(scores > tau)[0]
+        ]
+        expected.append((tau, rank_histogram(rankings, data.feature_names, 4)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("overall_importance built a per-feature object")
+
+    monkeypatch.setattr(explainer, "PerturbationCurve", forbidden)
+    monkeypatch.setattr(explainer, "FeatureMetrics", forbidden)
+    for scorer, (tau, hist) in zip(scorers, expected):
+        got = overall_importance(scorer, data, grid, [0.4, 0.2, 0.2, 0.2], tau, top_positions=4)
+        assert histogram_to_dict(got) == histogram_to_dict(hist)
+        assert got.matrix.tobytes() == hist.matrix.tobytes()
 
 
 # -- merging ---------------------------------------------------------------------

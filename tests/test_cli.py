@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from anomex.cli import SEED_ENV_VAR, run
+from anomex.data import load_csv
+from anomex.detectors import load_model
+from anomex.shap_baseline import kernel_shap, sample_background, shap_to_dict
 
 
 def invoke(*argv):
@@ -124,6 +127,24 @@ def test_shap_subcommand_additivity(workspace):
     assert doc["method"] == "kernelshap"
     assert doc["phi0"] + sum(doc["phi"]) == pytest.approx(doc["score"], abs=1e-6)
     assert doc["background_size"] == 82
+
+
+@pytest.mark.parametrize("coalitions", [40, 128])  # sampled, exact enumeration at d=6
+def test_shap_document_matches_a_wrapped_scorer(workspace, coalitions):
+    # the CLI passes the forest's own bound score; a lambda takes the per-coalition path
+    tmp, data, model = workspace
+    out = tmp / "shap.json"
+    assert invoke(
+        "shap", "--model", str(model), "--input", str(data), "--has-labels",
+        "--row", "805", "--background-frac", "0.1", "--coalitions", str(coalitions),
+        "--seed", "3", "--out", str(out),
+    ) == 0
+    detector, threshold, _ = load_model(model)
+    rows = load_csv(data, has_labels=True)
+    background = sample_background(rows, 0.1, 3)
+    expl = kernel_shap(lambda b: detector.score(b), rows.rows[805], background, coalitions, 3)
+    doc = shap_to_dict(expl, point_id=805, threshold=threshold)
+    assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_bench_head2head_writes_csv(workspace, capsys):

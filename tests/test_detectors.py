@@ -170,6 +170,79 @@ def test_score_sweep_rejects_bad_input(gaussian_data):
             model.score_sweep(bad_x, bad_values)
 
 
+def hybrid_rows(x, background, masks):
+    """The (n_masks * n_bg, d) rows score_coalitions stands for: masked features from x."""
+    return np.concatenate([np.where(mask, x, background) for mask in masks])
+
+
+# features either side of the 64-bit word boundaries of a coalition bitmask
+_WORD_EDGES = (0, 62, 63, 64, 65, 127, 128, 129)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.sampled_from([1, 63, 64, 65, 130]),
+    n_bg=st.integers(1, 30),
+    n_masks=st.integers(0, 6),
+    trees=st.integers(1, 8),
+    varying=st.sampled_from(["all", "word edges", "none"]),
+    seed=st.integers(0, 2**16),
+)
+@example(d=1, n_bg=1, n_masks=0, trees=1, varying="all", seed=0)
+@example(d=130, n_bg=1, n_masks=3, trees=8, varying="word edges", seed=1)
+@example(d=64, n_bg=3, n_masks=2, trees=4, varying="none", seed=2)  # every tree a single leaf
+def test_score_coalitions_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, varying, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(40, d))
+    if varying != "all":  # constant columns are never split on
+        keep = _WORD_EDGES if varying == "word edges" else ()
+        rows[:, [j for j in range(d) if j not in keep]] = 1.5
+    model = IsolationForest.fit(
+        make_dataset(rows), trees=trees, subsample=int(rng.integers(2, 41)), seed=seed
+    )
+    thresholds = [v for t in model.trees for v, c in zip(t["threshold"], t["child"]) if c != -1]
+    # split thresholds hit the >= tie; +-1e6 lies outside the training range
+    pool = np.concatenate([thresholds, rows.ravel(), [-1e6, 1e6]])
+    x = pool[rng.integers(pool.size, size=d)]
+    background = pool[rng.integers(pool.size, size=(n_bg, d))]
+    masks = np.concatenate([
+        np.zeros((1, d), dtype=bool),  # empty: the background's own scores
+        rng.random((n_masks, d)) < rng.random((n_masks, 1)),
+        np.ones((1, d), dtype=bool),  # full: x's score on every row
+    ])
+    expected = model.score(hybrid_rows(x, background, masks)).reshape(len(masks), n_bg)
+    assert np.array_equal(model.score_coalitions(x, background, masks), expected)
+
+
+def test_score_coalitions_spans_blocks(gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=2)
+    rng = np.random.default_rng(6)
+    background = rng.normal(size=(_BLOCK_ROWS + 5, 4))
+    x = gaussian_data.rows[int(np.argmax(model.score(gaussian_data.rows)))]
+    masks = np.array([[True, False, False, True], [False, True, True, False]])
+    expected = model.score(hybrid_rows(x, background, masks)).reshape(2, -1)
+    assert np.array_equal(model.score_coalitions(x, background, masks), expected)
+    assert model.score_coalitions(x, background, masks[:0]).shape == (0, _BLOCK_ROWS + 5)
+    assert model.score_coalitions(x, background[:0], masks).shape == (2, 0)
+
+
+def test_score_coalitions_rejects_bad_input(gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=0)
+    x, bg, masks = gaussian_data.rows[0], gaussian_data.rows[:3], np.zeros((2, 4), dtype=bool)
+    for bad_x, bad_bg, bad_masks, error in [
+        (gaussian_data.rows[:2], bg, masks, ModelError),
+        (np.zeros(3), bg, masks, ModelError),
+        (x, np.zeros((3, 3)), masks, ModelError),
+        (x, bg, np.zeros((2, 3), dtype=bool), ModelError),
+        (x, bg, np.zeros((2, 4)), ModelError),  # not boolean
+        (x, bg, np.zeros(4, dtype=bool), ModelError),
+        (np.full(4, np.nan), bg, masks, DataError),
+        (x, np.full((3, 4), np.inf), masks, DataError),
+    ]:
+        with pytest.raises(error):
+            model.score_coalitions(bad_x, bad_bg, bad_masks)
+
+
 def test_if_dimension_mismatch(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=0)
     with pytest.raises(ModelError):

@@ -4,8 +4,13 @@ import logging
 import numpy as np
 import pytest
 
+from anomex import shap_baseline
 from anomex.data import Dataset
+from anomex.errors import DataError
+from anomex.detectors import IsolationForest, Loda
 from anomex.shap_baseline import (
+    _enumerated_coalitions,
+    _shapley_kernel,
     default_coalitions,
     kernel_shap,
     sample_background,
@@ -13,7 +18,7 @@ from anomex.shap_baseline import (
     shap_to_dict,
 )
 
-from conftest import make_dataset
+from conftest import CountingScorer, make_dataset
 
 
 def brute_shapley(scorer, x, bg_rows):
@@ -141,6 +146,77 @@ def test_rejects_bad_inputs():
         kernel_shap(lambda X: X.sum(axis=1), np.zeros(3), bg)
     with pytest.raises(ValueError):
         kernel_shap(lambda X: X.sum(axis=1), np.zeros(2), bg, coalitions=1)
+
+
+def test_enumerated_coalitions_match_the_per_coalition_loop():
+    for d in range(2, 13):
+        masks, weights = _enumerated_coalitions(d)
+        ref_masks = np.zeros((2**d - 2, d), dtype=bool)
+        for i in range(1, 2**d - 1):
+            ref_masks[i - 1] = [(i >> j) & 1 for j in range(d)]
+        ref_weights = np.asarray([_shapley_kernel(d, int(s)) for s in ref_masks.sum(axis=1)])
+        assert np.array_equal(masks, ref_masks)
+        assert weights.tobytes() == ref_weights.tobytes()
+
+
+@pytest.fixture(scope="module")
+def forest_workload():
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(400, 6))
+    rows[:8] += 4.0
+    data = make_dataset(rows)
+    return data, IsolationForest.fit(data, trees=30, subsample=64, seed=4)
+
+
+@pytest.mark.parametrize("coalitions", [2**6, 50])  # exact enumeration, sampling
+def test_forest_score_explains_like_any_scorer(forest_workload, coalitions, monkeypatch):
+    data, forest = forest_workload
+    bg = sample_background(data, 0.3, seed=1)
+    calls = []
+    own = IsolationForest.score_coalitions
+    monkeypatch.setattr(
+        IsolationForest, "score_coalitions", lambda self, *a: calls.append(1) or own(self, *a)
+    )
+    for i in (0, 3, 200):
+        direct = kernel_shap(forest.score, data.rows[i], bg, coalitions, seed=i)
+        wrapped = kernel_shap(lambda b: forest.score(b), data.rows[i], bg, coalitions, seed=i)
+        assert direct.phi.tobytes() == wrapped.phi.tobytes()
+        assert (direct.base_value, direct.score) == (wrapped.base_value, wrapped.score)
+        assert direct.coalitions == wrapped.coalitions
+    assert len(calls) == 3
+    # chunks of masks bounding the score matrix give the same values
+    monkeypatch.setattr(shap_baseline, "_COALITION_CELLS", 7 * bg.n_rows)
+    chunked = kernel_shap(forest.score, data.rows[0], bg, coalitions, seed=0)
+    assert chunked.phi.tobytes() == kernel_shap(
+        lambda b: forest.score(b), data.rows[0], bg, coalitions, seed=0
+    ).phi.tobytes()
+    assert len(calls) == 3 + -(-(chunked.coalitions - 2) // 7)
+
+
+def test_only_the_forests_own_score_takes_the_coalition_path(forest_workload, monkeypatch):
+    data, forest = forest_workload
+    bg = sample_background(data, 0.1, seed=2)
+    monkeypatch.setattr(
+        IsolationForest, "score_coalitions", lambda *a: pytest.fail("wrapper took the forest path")
+    )
+    counting = CountingScorer(forest.score)
+    expl = kernel_shap(counting, data.rows[0], bg, 40, seed=0)
+    # one call of n_bg rows per coalition, plus the background and the point
+    assert counting.evaluations == (expl.coalitions - 1) * bg.n_rows + 1
+    loda = Loda.fit(data, projections=10, bins=10, seed=0)
+    assert kernel_shap(loda.score, data.rows[0], bg, 40, seed=0).coalitions == 40
+    assert kernel_shap(lambda b: forest.score(b), data.rows[0], bg, 40, seed=0).coalitions == 40
+
+
+def test_forest_path_keeps_the_scorer_input_checks(forest_workload):
+    data, forest = forest_workload
+    bg = sample_background(data, 0.1, seed=2)
+    x = data.rows[0].copy()
+    x[4] = np.inf
+    with pytest.raises(DataError, match=r"IsolationForest.score: non-finite value at row 1, column 'f4'"):
+        kernel_shap(forest.score, x, bg, 40, seed=0)
+    with pytest.raises(ValueError, match="point has 5 features but background has 6"):
+        kernel_shap(forest.score, x[:5], bg, 40, seed=0)
 
 
 # -- ranking -------------------------------------------------------------------------
