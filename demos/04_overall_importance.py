@@ -34,8 +34,7 @@ grid = build_quantile_grid(data, k_levels=51)
 
 # Every flagged point gets a local explanation; the rank positions are
 # then histogrammed. Position 1 = most important.
-hist = overall_importance(model.score, data, grid, Weights(), tau,
-                          top_positions=5, threads=4)
+hist = overall_importance(model.score, data, grid, Weights(), tau, top_positions=5)
 print(f"explained {hist.n_anomalies} detected anomalies")
 
 print("\nshare of rank positions (rows: features, columns: positions 1-5):")

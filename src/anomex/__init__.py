@@ -36,8 +36,6 @@ from anomex.explainer import (
     Weights,
     explain,
     explanation_to_dict,
-    feature_metrics,
-    perturbation_curve,
     validate_weights,
 )
 from anomex.aggregate import (
@@ -95,8 +93,6 @@ __all__ = [
     "Weights",
     "explain",
     "explanation_to_dict",
-    "feature_metrics",
-    "perturbation_curve",
     "validate_weights",
     "RankHistogram",
     "histogram_to_dict",

@@ -10,13 +10,15 @@ can be merged into a synthetic ``others`` row for readable charts.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from anomex.data import Dataset, QuantileGrid, Scorer
+from anomex.data import Dataset, QuantileGrid, Scorer, checked_scores
+from anomex.detectors import IsolationForest, bound_detector
 from anomex.errors import DataError
 from anomex.explainer import Weights, _as_point, _rank_features, validate_weights
 
@@ -86,17 +88,16 @@ def overall_importance(
     weights: Weights,
     threshold: float,
     top_positions: int | None = None,
-    *,
-    threads: int = 1,
 ) -> RankHistogram:
     """Explain every point scoring above the threshold; aggregate rankings.
 
-    Flagged points are explained in row order (concurrently when
-    ``threads`` > 1; the reduction order is fixed either way). Raises
-    DataError when the detector flags nothing, rather than returning an
-    empty histogram.
+    Flagged points are explained in row order, and their rankings are
+    reduced in that order. Given an Isolation Forest's own bound
+    ``score``, they are explained on ``os.cpu_count()`` worker threads;
+    every other scorer runs serially. Raises DataError when the detector
+    flags nothing, rather than returning an empty histogram.
     """
-    scores = np.asarray(scorer(data.rows), dtype=np.float64).ravel()
+    scores = checked_scores(scorer(data.rows), data.n_rows, lambda i: f"row {i}")
     flagged = np.nonzero(scores > threshold)[0]
     if flagged.size == 0:
         raise DataError("no anomalies detected")
@@ -109,8 +110,15 @@ def overall_importance(
         x = _as_point(data.rows[i], grid)
         return _rank_features(scorer, x, grid, weights, threshold).ranking
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    # Worker threads pay only where the scorer releases the GIL for long
+    # enough. Medians of alternating pairs on a 2-core box, serial vs 2
+    # threads: a 20000x50 forest's 200 flagged points took 0.92 vs 0.67 s
+    # in process (1.65 vs 1.37 s for `anomex overall`); 5000x100 LODA took
+    # 0.200 vs 0.212 s through its bound score and 1.67 vs 2.03 s through
+    # a lambda around it.
+    workers = (os.cpu_count() or 1) if isinstance(bound_detector(scorer), IsolationForest) else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rankings = list(pool.map(one, flagged))
     else:
         rankings = [one(i) for i in flagged]

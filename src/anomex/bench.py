@@ -1,8 +1,8 @@
 """Latency harness for single-explanation timing and scaling sweeps.
 
-Timed sections run single-threaded by default so contention noise stays
-out of the medians; a warm-up run is always performed and discarded, and
-the reported seconds are the median over at least three repeats. Results
+Timed sections run single-threaded so contention noise stays out of the
+medians; a warm-up run is always performed and discarded, and the
+reported seconds are the median over at least three repeats. Results
 serialize to CSV (method, background_size, n, d, K, coalitions, seconds)
 and to a text table.
 """
@@ -39,7 +39,6 @@ class TimingRecord:
     seconds: float
     repeats: int
     seed: int
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
@@ -62,7 +61,6 @@ class BenchSetup:
     seed: int
     background: Dataset | None = None
     coalitions: int | None = None
-    threads: int = 1
 
 
 def time_single_explanation(
@@ -84,10 +82,7 @@ def time_single_explanation(
 
     if method == METHOD_QUANTILE_SWEEP:
         def run():
-            expl = explain(
-                scorer, x, setup.grid, setup.weights, setup.threshold,
-                threads=setup.threads,
-            )
+            expl = explain(scorer, x, setup.grid, setup.weights, setup.threshold)
             assert sorted(expl.ranking) == list(range(d))
             return expl
     elif method == METHOD_KERNELSHAP:
@@ -119,7 +114,6 @@ def time_single_explanation(
         seconds=float(statistics.median(times)),
         repeats=repeats,
         seed=setup.seed,
-        threads=setup.threads,
     )
 
 
@@ -157,7 +151,6 @@ def dimension_sweep(
     repeats: int = MIN_REPEATS,
     seed: int = 0,
     detector: str = "custom",
-    threads: int = 1,
 ) -> list[TimingRecord]:
     """Quantile-sweep explanation time across dimensionalities.
 
@@ -179,7 +172,7 @@ def dimension_sweep(
         threshold = fit_threshold(scorer(data.rows), contamination)
         setup = BenchSetup(
             grid=grid, weights=weights, threshold=threshold, detector=detector,
-            n=n, seed=seed, threads=threads,
+            n=n, seed=seed,
         )
         records.append(
             time_single_explanation(METHOD_QUANTILE_SWEEP, scorer, x, setup, repeats)
@@ -205,8 +198,7 @@ def format_table(records: Sequence[TimingRecord]) -> str:
             bg = f"{r.n} (100%)" if r.method == METHOD_QUANTILE_SWEEP else "-"
         else:
             bg = f"{r.background_size} ({r.background_size / r.n:.0%})"
-        label = r.method if r.threads == 1 else f"{r.method} (threads={r.threads})"
-        rows.append((label, bg, f"{r.seconds:.2f}"))
+        rows.append((r.method, bg, f"{r.seconds:.2f}"))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     out = []
     for idx, row in enumerate(rows):

@@ -21,6 +21,7 @@ from anomex import bench as bench_mod
 from anomex.aggregate import histogram_to_dict, merge_others, overall_importance
 from anomex.data import (
     Dataset,
+    QuantileGrid,
     build_quantile_grid,
     classify,
     fit_threshold,
@@ -78,7 +79,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--svg", default=None, help="optional what-if chart path")
     p.add_argument("--top-k", type=int, default=None, help="rows in the chart")
     p.add_argument("--width", type=int, default=900, help="chart width in px")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("overall", help="rank histogram over all detected anomalies")
@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--svg", default=None, help="optional stacked bar chart path")
     p.add_argument("--width", type=int, default=760)
     p.add_argument("--height", type=int, default=420)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("shap", help="KernelSHAP baseline explanation of one row")
@@ -118,7 +117,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--contamination", type=float, default=0.01)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic CSV")
     p.add_argument("--n", type=int, required=True, help="normal rows")
@@ -159,12 +157,19 @@ def _pick_row(data: Dataset, row: int) -> np.ndarray:
     return data.rows[row]
 
 
-def _threads(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        return args.threads
-    return os.cpu_count() or 1
+def _quantile_grid(data: Dataset, k_levels: int) -> QuantileGrid:
+    """The grid of ``--input``; DataError if no feature has any spread.
+
+    Over such a grid every curve is flat and every importance 0, so the
+    ranking would only echo the feature order.
+    """
+    grid = build_quantile_grid(data, k_levels)
+    if (grid.values[:, -1] == grid.values[:, 0]).all():
+        raise DataError(
+            f"every feature of --input is constant over its {data.n_rows} row(s): "
+            "the quantile grid has zero width, so no feature can be ranked"
+        )
+    return grid
 
 
 def _write_text(path: str, text: str) -> None:
@@ -208,11 +213,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
     x = _pick_row(data, args.row)
     weights = validate_weights(args.weights.split(","))
-    grid = build_quantile_grid(data, args.quantiles)
-    expl = explain(
-        detector.score, x, grid, weights, threshold,
-        feature_names=data.feature_names, threads=_threads(args),
-    )
+    grid = _quantile_grid(data, args.quantiles)
+    expl = explain(detector.score, x, grid, weights, threshold, feature_names=data.feature_names)
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
     if args.svg:
         top_k = args.top_k if args.top_k is not None else min(10, data.n_features)
@@ -229,10 +231,9 @@ def _cmd_overall(args: argparse.Namespace) -> int:
     detector, threshold, _ = load_model(args.model)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
     weights = validate_weights(args.weights.split(","))
-    grid = build_quantile_grid(data, args.quantiles)
+    grid = _quantile_grid(data, args.quantiles)
     hist = overall_importance(
-        detector.score, data, grid, weights, threshold,
-        top_positions=args.positions, threads=_threads(args),
+        detector.score, data, grid, weights, threshold, top_positions=args.positions
     )
     # the summary names a real feature, so it reads the histogram before
     # small features are folded into the synthetic 'others' row
@@ -290,7 +291,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         setup = bench_mod.BenchSetup(
             grid=grid, weights=validate_weights((0.3, 0.3, 0.2, 0.2)),
             threshold=threshold, detector="iforest", n=data.n_rows, seed=seed,
-            coalitions=args.coalitions, threads=args.threads,
+            coalitions=args.coalitions,
         )
         records.append(bench_mod.time_single_explanation(
             bench_mod.METHOD_QUANTILE_SWEEP, detector.score, x, setup, args.repeats
@@ -314,7 +315,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         records.extend(bench_mod.dimension_sweep(
             factory, dims, args.n,
             quantile_levels=args.quantiles, contamination=args.contamination,
-            repeats=args.repeats, seed=seed, detector="iforest", threads=args.threads,
+            repeats=args.repeats, seed=seed, detector="iforest",
         ))
     _write_text(args.out, bench_mod.records_to_csv(records))
     print(bench_mod.format_table(records), end="")

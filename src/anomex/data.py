@@ -27,12 +27,27 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from anomex.errors import DataError
+from anomex.errors import DataError, NumericError
 
 # Scoring contract used throughout: a batch of samples (m, d) maps to a
 # vector of m finite scores, higher = more anomalous. Detectors expose a
 # ``score`` method with this shape; any callable works.
 Scorer = Callable[[np.ndarray], np.ndarray]
+
+
+def checked_scores(scores: object, n: int, where: Callable[[int], str]) -> np.ndarray:
+    """A scorer's output for an n-row batch as float64, held to the contract.
+
+    NumericError unless it holds exactly n scores, all finite; ``where(i)``
+    names the sample behind the first non-finite score.
+    """
+    scores = np.asarray(scores, dtype=np.float64).ravel()
+    if scores.size != n:
+        raise NumericError(f"scorer returned {scores.size} scores for {n} samples")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericError(f"scorer returned a non-finite score for {where(int(bad[0]))}")
+    return scores
 
 
 class Classification(enum.Enum):

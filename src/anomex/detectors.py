@@ -13,7 +13,7 @@ import json
 import math
 from collections import deque
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -139,18 +139,22 @@ class IsolationForest:
     def __init__(
         self,
         feature_names: Sequence[str],
-        trees: list[dict],
+        nodes: _Nodes,
+        roots: np.ndarray,
         subsample: int,
         seed: int,
-        n_trees: int,
     ) -> None:
         self.feature_names = tuple(feature_names)
-        self.trees = trees
         self.subsample = int(subsample)
         self.seed = int(seed)
-        self.n_trees = int(n_trees)
         self.normalizer = float(expected_path_length(self.subsample))
+        self._nodes = nodes
+        self._roots = roots
         self._pack()
+
+    @property
+    def n_trees(self) -> int:
+        return self._roots.size
 
     # -- fitting ---------------------------------------------------------
 
@@ -187,30 +191,25 @@ class IsolationForest:
         for _ in range(trees):
             idx = rng.choice(n, size=psi, replace=False)
             grown.append(_grow_tree(data.rows[idx], rng, depth_limit))
-        return cls(data.feature_names, grown, psi, seed, trees)
+        return cls(data.feature_names, *_concatenate(grown), psi, seed)
 
     # -- scoring ---------------------------------------------------------
 
     def _pack(self) -> None:
-        """Flatten all trees into shared arrays for vectorized traversal.
+        """Walker tables over the node columns, for vectorized traversal.
 
         Leaves self-loop (child = own index, threshold = +inf), so after
         max-depth propagation steps every walker sits on its leaf and the
         precomputed depth-plus-credit can be gathered in one shot.
         """
+        feature, threshold, child, size, depth = self._nodes
         credit = expected_path_length(np.arange(self.subsample + 1))
-        lengths = np.asarray([len(t["feature"]) for t in self.trees], dtype=np.int64)
-        roots = np.cumsum(lengths) - lengths
-        feature, threshold, child, size, depth = (
-            np.concatenate([np.asarray(t[key], dtype=dtype) for t in self.trees])
-            for key, dtype in _TREE_FIELDS
-        )
+        root = np.repeat(self._roots, np.diff(self._roots, append=feature.size))
         leaf = child < 0
         self._feature = np.where(leaf, 0, feature)
         self._threshold = np.where(leaf, np.inf, threshold)
-        self._child = np.where(leaf, np.arange(feature.size), np.repeat(roots, lengths) + child)
+        self._child = np.where(leaf, np.arange(feature.size), root + child)
         self._h_final = np.where(leaf, depth + credit[size], 0.0)
-        self._roots = roots
         self._max_depth = int(depth.max())
 
     def score(self, x: np.ndarray) -> np.ndarray:
@@ -359,20 +358,16 @@ class IsolationForest:
     # -- persistence ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        columns = [column.tolist() for column in self._nodes]
+        bounds = np.append(self._roots, self._nodes.feature.size).tolist()
         return {
             "feature_names": list(self.feature_names),
             "subsample": self.subsample,
             "seed": self.seed,
             "n_trees": self.n_trees,
             "trees": [
-                {
-                    "feature": [int(v) for v in t["feature"]],
-                    "threshold": [float(v) for v in t["threshold"]],
-                    "child": [int(v) for v in t["child"]],
-                    "size": [int(v) for v in t["size"]],
-                    "depth": [int(v) for v in t["depth"]],
-                }
-                for t in self.trees
+                {key: column[a:b] for key, column in zip(_Nodes._fields, columns)}
+                for a, b in zip(bounds[:-1], bounds[1:])
             ],
         }
 
@@ -386,8 +381,8 @@ class IsolationForest:
         trees = doc["trees"]
         if not isinstance(trees, list) or len(trees) != n_trees:
             raise ModelError(f"'trees' must be a list of n_trees={n_trees} trees")
-        _check_trees(trees, len(names), subsample)
-        return cls(names, trees, subsample, _integer(doc["seed"], "seed"), n_trees)
+        nodes, roots = _check_trees(trees, len(names), subsample)
+        return cls(names, nodes, roots, subsample, _integer(doc["seed"], "seed"))
 
 
 def _mark(bits: np.ndarray, feature: np.ndarray, where: np.ndarray) -> None:
@@ -397,35 +392,48 @@ def _mark(bits: np.ndarray, feature: np.ndarray, where: np.ndarray) -> None:
     bits.reshape(bits.shape[0], -1)[f >> 6, cell] |= np.uint64(1) << (f & 63).astype(np.uint64)
 
 
-_TREE_FIELDS = (
-    ("feature", np.int64),
-    ("threshold", np.float64),
-    ("child", np.int64),
-    ("size", np.int64),
-    ("depth", np.int64),
-)
+class _Nodes(NamedTuple):
+    """Node columns of every tree of a forest, concatenated in tree order.
+
+    Within a tree, nodes are in breadth-first order: child[i] is the
+    tree-local index of node i's left child, or -1 for a leaf, and the
+    right child sits at child[i] + 1. size and depth are kept per node so
+    truncated-leaf credits can be recomputed on load.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    size: np.ndarray
+    depth: np.ndarray
 
 
-def _check_trees(trees: list, n_features: int, subsample: int) -> None:
+def _concatenate(trees: Sequence[Sequence[np.ndarray]]) -> tuple[_Nodes, np.ndarray]:
+    """Per-tree node columns joined into one ``_Nodes``, with each tree's root offset."""
+    lengths = np.asarray([tree[0].size for tree in trees], dtype=np.int64)
+    nodes = _Nodes(*(np.concatenate(column) for column in zip(*trees)))
+    return nodes, np.cumsum(lengths) - lengths
+
+
+def _check_trees(trees: list, n_features: int, subsample: int) -> tuple[_Nodes, np.ndarray]:
     """Validate every tree's node arrays, vectorised over their concatenation.
 
     Beyond the indices staying in range, a child must sit one level below
     its parent and the root at depth 0: that is what guarantees every
-    walker in ``score`` reaches a leaf of its own tree.
+    walker in ``score`` reaches a leaf of its own tree. Returns the
+    columns, integer ones as int64, and each tree's root offset.
     """
-    keys = [key for key, _ in _TREE_FIELDS]
-    columns: dict[str, list[np.ndarray]] = {key: [] for key in keys}
+    columns = []
     for t, tree in enumerate(trees):
-        _require_keys(tree, keys, f"tree {t}")
-        arrays = [_numbers(tree[key], f"tree {t} {key!r}", ndim=1) for key in keys]
+        _require_keys(tree, _Nodes._fields, f"tree {t}")
+        arrays = [_numbers(tree[key], f"tree {t} {key!r}", ndim=1) for key in _Nodes._fields]
         if arrays[0].size == 0 or any(arr.size != arrays[0].size for arr in arrays):
             raise ModelError(f"tree {t}: node arrays must be non-empty and of equal length")
-        for key, arr in zip(keys, arrays):
-            columns[key].append(arr)
-    lengths = np.asarray([arr.size for arr in columns["feature"]], dtype=np.int64)
-    roots = np.cumsum(lengths) - lengths
+        columns.append(arrays)
+    nodes, roots = _concatenate(columns)
+    feature, threshold, child, size, depth = nodes
+    lengths = np.diff(roots, append=feature.size)
     n_nodes = np.repeat(lengths, lengths)
-    feature, threshold, child, size, depth = (np.concatenate(columns[key]) for key in keys)
 
     def fail(bad: np.ndarray, what: str) -> None:
         if bad.any():
@@ -449,15 +457,12 @@ def _check_trees(trees: list, n_features: int, subsample: int) -> None:
     misplaced = np.zeros(depth.size, dtype=bool)
     misplaced[internal] = (depth[left] != below) | (depth[left + 1] != below)
     fail(misplaced, "children are not one level below their parent")
+    feature, child, size, depth = (c.astype(np.int64) for c in (feature, child, size, depth))
+    return _Nodes(feature, threshold, child, size, depth), roots
 
 
-def _grow_tree(points: np.ndarray, rng: np.random.Generator, depth_limit: int) -> dict:
-    """Grow one isolation tree over ``points`` in breadth-first layout.
-
-    child[i] is the index of node i's left child or -1 for leaves; the
-    right child always sits at child[i] + 1. size/depth are stored per
-    node so truncated-leaf credits can be recomputed on load.
-    """
+def _grow_tree(points: np.ndarray, rng: np.random.Generator, depth_limit: int) -> _Nodes:
+    """Grow one isolation tree over ``points`` in breadth-first layout (see ``_Nodes``)."""
     feature: list[int] = [0]
     threshold: list[float] = [0.0]
     child: list[int] = [-1]
@@ -491,7 +496,13 @@ def _grow_tree(points: np.ndarray, rng: np.random.Generator, depth_limit: int) -
             size.append(len(rows))
             depth.append(level + 1)
             queue.append((len(feature) - 1, rows, level + 1))
-    return {"feature": feature, "threshold": threshold, "child": child, "size": size, "depth": depth}
+    return _Nodes(
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(child, dtype=np.int64),
+        np.asarray(size, dtype=np.int64),
+        np.asarray(depth, dtype=np.int64),
+    )
 
 
 class Loda:

@@ -28,20 +28,24 @@ detector's ``score_sweep``, which recomputes only what the swept feature
 can change: the trees whose path for x splits on it, or the projections
 with a nonzero weight on it. Any wrapper around it (a lambda, an
 evaluation counter, a tracer) takes the generic path and sees all
-d*K + 1 evaluations; ``threads`` has no effect on the detector path.
+d*K + 1 evaluations. Every scorer output is checked for one finite score
+per sample; anything else is a NumericError.
+
+``PerturbationCurve`` and ``FeatureMetrics`` are per-feature views of
+that matrix and of the metric columns, kept as the fields of a
+``LocalExplanation`` for reports and charts; there is no per-feature
+entry point.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from anomex.data import Classification, QuantileGrid, Scorer, classify, levels_of
+from anomex.data import Classification, QuantileGrid, Scorer, checked_scores, classify, levels_of
 from anomex.detectors import bound_detector
-from anomex.errors import NumericError
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
@@ -83,14 +87,14 @@ class PerturbationCurve:
 
 @dataclass(frozen=True)
 class FeatureMetrics:
-    """Per-feature metric bundle; ``delta`` is filled in by ``explain``
-    because it is normalized across all features of one explanation."""
+    """One feature's metrics; ``delta`` is ``raw_delta`` normalized across
+    all features of the explanation."""
 
     raw_delta: float
     ratio: float
     class_change: float
     change_distance: float
-    delta: float | None = None
+    delta: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,61 +118,14 @@ class LocalExplanation:
         return len(self.feature_names)
 
 
-def perturbation_curve(
-    scorer: Scorer,
-    x: np.ndarray,
-    feature: int,
-    grid: QuantileGrid,
-) -> PerturbationCurve:
-    """Score x with ``feature`` forced to each grid value, others fixed.
-
-    Exactly one scorer evaluation per grid level; x is never mutated.
-    """
-    return PerturbationCurve(feature, grid.levels, _curve_scores(scorer, x, feature, grid))
-
-
 def _curve_scores(scorer: Scorer, x: np.ndarray, feature: int, grid: QuantileGrid) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    d = grid.n_features
-    if x.size != d:
-        raise ValueError(f"point has {x.size} features but grid has {d}")
-    if not 0 <= feature < d:
-        raise ValueError(f"feature index {feature} out of range [0, {d})")
+    """Scores of x, a point from ``_as_point``, with ``feature`` at each grid level."""
     batch = np.repeat(x[None, :], grid.n_levels, axis=0)
     batch[:, feature] = grid.values[feature]
-    scores = np.asarray(scorer(batch), dtype=np.float64).ravel()
-    if scores.size != grid.n_levels:
-        raise NumericError(
-            f"scorer returned {scores.size} scores for {grid.n_levels} samples"
-        )
-    finite = np.isfinite(scores)
-    if not finite.all():
-        k = int(np.nonzero(~finite)[0][0])
-        raise NumericError(
-            f"scorer returned non-finite score for feature {feature} "
-            f"at level {grid.levels[k]:g}"
-        )
-    return scores
-
-
-def feature_metrics(
-    curve: PerturbationCurve,
-    point_score: float,
-    threshold: float,
-    point_level: float,
-) -> FeatureMetrics:
-    """Condense one perturbation curve into the raw metric bundle.
-
-    ``delta`` stays unset here; it requires the raw spans of every other
-    feature in the explanation.
-    """
-    scores = np.asarray(curve.scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("empty perturbation curve")
-    columns = _sweep_metrics(
-        scores[None, :], point_score, threshold, curve.levels, np.asarray([point_level])
+    return checked_scores(
+        scorer(batch), grid.n_levels,
+        lambda k: f"feature {feature} at level {grid.levels[k]:g}",
     )
-    return FeatureMetrics(*(float(c[0]) for c in columns))
 
 
 def _sweep_metrics(
@@ -214,28 +171,18 @@ def _rank_features(
     grid: QuantileGrid,
     weights: Weights,
     threshold: float,
-    threads: int = 1,
 ) -> _Ranked:
     """Score x and its (d, K) sweep; metrics, importance and ranking over it at once.
 
     ``x`` comes from ``_as_point``. Shared by ``explain`` and by callers
     that need only the ranking, which skip the per-feature objects.
     """
-    s_x = float(np.asarray(scorer(x[None, :]), dtype=np.float64).ravel()[0])
-    if not np.isfinite(s_x):
-        raise NumericError("scorer returned a non-finite score for the explained point")
-
-    def curve(j: int) -> np.ndarray:
-        return _curve_scores(scorer, x, j, grid)
-
+    s_x = float(checked_scores(scorer(x[None, :]), 1, lambda _: "the explained point")[0])
     detector = bound_detector(scorer)
     if detector is not None:
         sweep = detector.score_sweep(x, grid.values)
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sweep = np.stack(list(pool.map(curve, range(grid.n_features))))
     else:
-        sweep = np.stack([curve(j) for j in range(grid.n_features)])
+        sweep = np.stack([_curve_scores(scorer, x, j, grid) for j in range(grid.n_features)])
 
     point_levels = levels_of(grid, x)
     raw_delta, ratio, class_change, change_distance = _sweep_metrics(
@@ -267,16 +214,13 @@ def explain(
     threshold: float,
     *,
     feature_names: Sequence[str] | None = None,
-    threads: int = 1,
 ) -> LocalExplanation:
     """Explain the anomaly score of ``x``: curves, metrics, ranking.
 
     Performs exactly d*K + 1 scorer evaluations (one per feature-level
     pair plus one for the point itself), except that a built-in
     detector's bound ``score`` sweeps through its ``score_sweep`` (see
-    the module docstring). With ``threads`` > 1 per-feature curves of
-    other scorers are computed concurrently; the result is identical
-    either way.
+    the module docstring).
 
     Args:
         scorer: batch scoring function, higher = more anomalous.
@@ -285,7 +229,6 @@ def explain(
         weights: convex metric weights.
         threshold: classification cutoff (strictly above = anomalous).
         feature_names: labels for reports; defaults to f0..f{d-1}.
-        threads: worker threads for the per-feature sweeps.
     """
     if not isinstance(weights, Weights):
         weights = validate_weights(weights)
@@ -298,7 +241,7 @@ def explain(
         if len(names) != d:
             raise ValueError(f"{len(names)} feature names for {d} features")
 
-    ranked = _rank_features(scorer, x, grid, weights, threshold, threads)
+    ranked = _rank_features(scorer, x, grid, weights, threshold)
     return LocalExplanation(
         point=x.copy(),
         score=ranked.score,

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from anomex.data import Dataset, Scorer
+from anomex.data import Dataset, Scorer, checked_scores
 from anomex.detectors import IsolationForest, bound_detector
 from anomex.errors import NumericError
 
@@ -111,10 +111,8 @@ def kernel_shap(
         raise ValueError(f"coalition budget must be >= 2, got {coalitions}")
 
     bg = background.rows
-    base_value = float(np.asarray(scorer(bg), dtype=np.float64).mean())
-    score = float(np.asarray(scorer(x[None, :]), dtype=np.float64).ravel()[0])
-    if not (np.isfinite(base_value) and np.isfinite(score)):
-        raise NumericError("scorer returned a non-finite score")
+    base_value = float(checked_scores(scorer(bg), len(bg), lambda b: f"background row {b}").mean())
+    score = float(checked_scores(scorer(x[None, :]), 1, lambda _: "the explained point")[0])
 
     if d == 1:
         # Constraint alone determines the single attribution.
@@ -137,10 +135,9 @@ def kernel_shap(
 
     values = np.empty(len(masks))
     for i, v in enumerate(_coalition_scores(scorer, x, bg, masks)):
-        v = np.asarray(v, dtype=np.float64)
-        if not np.isfinite(v).all():
-            raise NumericError("scorer returned a non-finite score for a masked sample")
-        values[i] = v.mean()
+        values[i] = checked_scores(
+            v, len(bg), lambda b: f"coalition {i} on background row {b}"
+        ).mean()
 
     phi = _constrained_wls(masks, values, weights, base_value, score)
     n_evals = len(masks) + 2

@@ -79,17 +79,6 @@ def test_overall_importance_explains_exactly_the_flagged_points():
     assert hist.matrix[0, 0] == 1.0
 
 
-def test_overall_importance_threads_match_serial():
-    rng = np.random.default_rng(2)
-    data = make_dataset(rng.normal(size=(50, 4)))
-    scorer = lambda X: np.abs(X).sum(axis=1)
-    grid = build_quantile_grid(data, 9)
-    tau = fit_threshold(scorer(data.rows), 0.2)
-    a = overall_importance(scorer, data, grid, Weights(), tau)
-    b = overall_importance(scorer, data, grid, Weights(), tau, threads=4)
-    assert a.matrix.tobytes() == b.matrix.tobytes()
-
-
 def test_overall_importance_recovers_injected_root_feature():
     # end-to-end: the shifted feature holds the largest rank-1 share
     data = generate(SynthSpec(5000, 100, 10, 3, 4.0, seed=11))
@@ -140,6 +129,41 @@ def test_overall_importance_is_the_histogram_of_explain_rankings(monkeypatch):
         got = overall_importance(scorer, data, grid, [0.4, 0.2, 0.2, 0.2], tau, top_positions=4)
         assert histogram_to_dict(got) == histogram_to_dict(hist)
         assert got.matrix.tobytes() == hist.matrix.tobytes()
+
+
+def test_only_a_forests_own_score_fans_out_over_the_cores(monkeypatch):
+    import os
+
+    from anomex import aggregate
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pools = []
+    real_pool = aggregate.ThreadPoolExecutor
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(aggregate, "ThreadPoolExecutor", spy)
+    data = generate(SynthSpec(600, 30, 5, 1, 4.0, seed=5))
+    grid = build_quantile_grid(data, 9)
+    forest = IsolationForest.fit(data, trees=30, subsample=64, seed=1)
+    scores = forest.score(data.rows)
+    tau = fit_threshold(scores, 0.05)
+    got = overall_importance(forest.score, data, grid, Weights(), tau, top_positions=4)
+    assert pools == [4]
+    rankings = [
+        explain(forest.score, data.rows[i], grid, Weights(), tau).ranking
+        for i in np.nonzero(scores > tau)[0]
+    ]
+    expected = rank_histogram(rankings, data.feature_names, 4)
+    assert got.matrix.tobytes() == expected.matrix.tobytes()
+
+    loda = Loda.fit(data, projections=20, bins=10, seed=1)
+    for scorer in (loda.score, lambda X: loda.score(X), lambda X: forest.score(X)):
+        tau = fit_threshold(scorer(data.rows), 0.05)
+        overall_importance(scorer, data, grid, Weights(), tau)
+    assert pools == [4]
 
 
 # -- merging ---------------------------------------------------------------------

@@ -178,7 +178,7 @@ def test_records_reproducible_in_structure():
     second = snapshot()
     for r1, r2 in zip(first, second):
         for field in ("method", "detector", "n", "d", "background_size",
-                      "quantile_levels", "coalitions", "repeats", "seed", "threads"):
+                      "quantile_levels", "coalitions", "repeats", "seed"):
             assert getattr(r1, field) == getattr(r2, field)
 
 

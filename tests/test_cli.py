@@ -37,7 +37,7 @@ def test_pipeline_synth_fit_overall_recovers_root(workspace, capsys):
     code = invoke(
         "overall", "--model", str(model), "--input", str(data), "--has-labels",
         "--positions", "5", "--cutoff", "0.05", "--out", str(hist_json),
-        "--svg", str(hist_svg), "--threads", "1",
+        "--svg", str(hist_svg),
     )
     assert code == 0
     doc = json.loads(hist_json.read_text())
@@ -236,6 +236,35 @@ def test_data_error_no_anomalies(workspace, capsys, tmp_path):
                   "--has-labels", "--out", str(tmp_path / "h.json"))
     assert code == 2
     assert "no anomalies detected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["explain", "overall"])
+def test_data_error_flat_grid(workspace, capsys, command):
+    # one row of the training data: every column of its grid has zero width
+    tmp, data, model = workspace
+    lines = data.read_text().splitlines()
+    one_row = tmp / "one_row.csv"
+    one_row.write_text(lines[0] + "\n" + lines[806] + "\n")
+    out = tmp / "out.json"
+    row = ["--row", "0"] if command == "explain" else []
+    code = invoke(command, "--model", str(model), "--input", str(one_row), "--has-labels",
+                  *row, "--out", str(out), "--svg", str(tmp / "out.svg"))
+    assert code == 2
+    assert "quantile grid has zero width" in capsys.readouterr().err
+    assert not out.exists() and not (tmp / "out.svg").exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "overall", "bench"])
+def test_usage_error_threads_flag_is_gone(workspace, tmp_path, command):
+    tmp, data, model = workspace
+    args = {
+        "explain": ["--model", str(model), "--input", str(data), "--has-labels", "--row", "0"],
+        "overall": ["--model", str(model), "--input", str(data), "--has-labels"],
+        "bench": ["--suite", "head2head", "--seed", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert invoke(command, *args, "--out", str(out), "--threads", "1") == 1
+    assert not out.exists()
 
 
 def test_model_error_bad_model_file(workspace, tmp_path):

@@ -45,10 +45,12 @@ def test_if_parameter_echo():
     rng = np.random.default_rng(0)
     data = make_dataset(rng.normal(size=(10000, 3)))
     model = IsolationForest.fit(data, trees=100, subsample=256, seed=0)
+    trees = model.to_dict()["trees"]
     assert model.n_trees == 100
-    assert len(model.trees) == 100
+    assert len(trees) == 100
     assert model.subsample == 256
-    assert all(t["size"][0] == 256 for t in model.trees)
+    assert all(t["size"][0] == 256 for t in trees)
+    assert not hasattr(model, "trees")
 
 
 def test_if_outlier_outscores_every_inlier():
@@ -85,7 +87,7 @@ def test_if_scores_bounded(gaussian_data):
 def test_if_depth_capped(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=2)
     limit = int(np.ceil(np.log2(64)))
-    assert all(max(t["depth"]) <= limit for t in model.trees)
+    assert all(max(t["depth"]) <= limit for t in model.to_dict()["trees"])
 
 
 def test_if_degenerate_identical_rows_still_builds():
@@ -133,7 +135,9 @@ def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, seed)
     model = IsolationForest.fit(
         make_dataset(rows), trees=trees, subsample=int(rng.integers(2, n + 1)), seed=seed
     )
-    thresholds = [v for t in model.trees for v, c in zip(t["threshold"], t["child"]) if c != -1]
+    thresholds = [
+        v for t in model.to_dict()["trees"] for v, c in zip(t["threshold"], t["child"]) if c != -1
+    ]
     # split thresholds hit the >= tie; +-1e6 lies outside the training range
     pool = np.concatenate([thresholds, rows.ravel(), [-1e6, 1e6]])
     x = pool[rng.integers(pool.size, size=d)]
@@ -200,7 +204,9 @@ def test_score_coalitions_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, v
     model = IsolationForest.fit(
         make_dataset(rows), trees=trees, subsample=int(rng.integers(2, 41)), seed=seed
     )
-    thresholds = [v for t in model.trees for v, c in zip(t["threshold"], t["child"]) if c != -1]
+    thresholds = [
+        v for t in model.to_dict()["trees"] for v, c in zip(t["threshold"], t["child"]) if c != -1
+    ]
     # split thresholds hit the >= tie; +-1e6 lies outside the training range
     pool = np.concatenate([thresholds, rows.ravel(), [-1e6, 1e6]])
     x = pool[rng.integers(pool.size, size=d)]
@@ -501,6 +507,31 @@ def test_save_load_round_trip(tmp_path, gaussian_data, kind):
     assert contamination == 0.1
     assert loaded.feature_names == model.feature_names
     assert loaded.score(gaussian_data.rows).tobytes() == scores.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["iforest", "loda"])
+def test_save_load_save_is_byte_identical(tmp_path, gaussian_data, kind):
+    if kind == "iforest":
+        model = IsolationForest.fit(gaussian_data, trees=15, subsample=64, seed=7)
+    else:
+        model = Loda.fit(gaussian_data, projections=15, bins=20, seed=7)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, 0.25, 0.1, first)
+    save_model(load_model(first)[0], 0.25, 0.1, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_forest_document_is_resaved_as_written(tmp_path, model_documents):
+    # a leaf's feature and threshold are never read, yet they persist unchanged
+    doc = copy.deepcopy(model_documents["iforest"][0])
+    tree = doc["model"]["trees"][1]
+    leaf = tree["child"].index(-1)
+    tree["feature"][leaf], tree["threshold"][leaf] = 2, 7.5
+    edited, resaved = tmp_path / "edited.json", tmp_path / "resaved.json"
+    edited.write_text(json.dumps(doc, sort_keys=True))
+    model, threshold, contamination = load_model(edited)
+    save_model(model, threshold, contamination, resaved)
+    assert resaved.read_bytes() == edited.read_bytes()
 
 
 def test_load_model_rejects_garbage(tmp_path):

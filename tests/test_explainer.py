@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anomex.aggregate import overall_importance
 from anomex.data import Classification, QuantileGrid, build_quantile_grid, fit_threshold
 from anomex.detectors import IsolationForest, Loda
 from anomex.errors import DataError, NumericError
-from anomex.explainer import (
-    Weights,
-    explain,
-    explanation_to_dict,
-    feature_metrics,
-    perturbation_curve,
-    validate_weights,
-)
+from anomex.explainer import Weights, explain, explanation_to_dict, validate_weights
+from anomex.shap_baseline import kernel_shap
 
 from conftest import CountingScorer, make_dataset, random_scorer
 
@@ -64,27 +59,27 @@ def test_validate_weights_rejects_wrong_arity():
 
 def test_curve_constant_scorer_is_flat():
     grid = two_feature_grid()
-    curve = perturbation_curve(lambda X: np.full(len(X), 3.0), np.array([0.1, 0.2]), 0, grid)
-    assert np.array_equal(curve.scores, np.full(5, 3.0))
+    expl = explain(lambda X: np.full(len(X), 3.0), np.array([0.1, 0.2]), grid, Weights(), 0.5)
+    assert np.array_equal(expl.curves[0].scores, np.full(5, 3.0))
 
 
 def test_curve_identity_scorer_echoes_quantiles():
     grid = two_feature_grid()
-    curve = perturbation_curve(identity_first_feature, np.array([0.9, 0.4]), 0, grid)
-    assert np.array_equal(curve.scores, grid.values[0])
+    expl = explain(identity_first_feature, np.array([0.9, 0.4]), grid, Weights(), 0.5)
+    assert np.array_equal(expl.curves[0].scores, grid.values[0])
 
 
 def test_curve_irrelevant_feature_is_flat_at_point_score():
     grid = two_feature_grid()
-    curve = perturbation_curve(identity_first_feature, np.array([0.9, 0.4]), 1, grid)
-    assert np.array_equal(curve.scores, np.full(5, 0.9))
+    expl = explain(identity_first_feature, np.array([0.9, 0.4]), grid, Weights(), 0.5)
+    assert np.array_equal(expl.curves[1].scores, np.full(5, 0.9))
 
 
 def test_curve_does_not_mutate_point():
     grid = two_feature_grid()
     x = np.array([0.9, 0.4])
     before = x.copy()
-    perturbation_curve(identity_first_feature, x, 0, grid)
+    explain(identity_first_feature, x, grid, Weights(), 0.5)
     assert np.array_equal(x, before)
 
 
@@ -97,14 +92,19 @@ def test_curve_reports_non_finite_scorer_with_context():
         return out
 
     with pytest.raises(NumericError, match="feature 0 at level 0.75"):
-        perturbation_curve(broken, np.array([0.1, 0.4]), 0, grid)
+        explain(broken, np.array([0.1, 0.4]), grid, Weights(), 0.5)
 
 
 def test_curve_budget_is_one_eval_per_level():
     grid = two_feature_grid()
-    scorer = CountingScorer(identity_first_feature)
-    perturbation_curve(scorer, np.array([0.9, 0.4]), 0, grid)
-    assert scorer.evaluations == grid.n_levels
+    batches = []
+
+    def scorer(X):
+        batches.append(len(X))
+        return identity_first_feature(X)
+
+    explain(scorer, np.array([0.9, 0.4]), grid, Weights(), 0.5)
+    assert batches == [1, grid.n_levels, grid.n_levels]
 
 
 # -- metrics: the worked identity-scorer example -----------------------------------
@@ -113,31 +113,56 @@ def test_curve_budget_is_one_eval_per_level():
 def test_metrics_worked_identity_example():
     grid = two_feature_grid()
     x = np.array([0.9, 0.4])
-    curve = perturbation_curve(identity_first_feature, x, 0, grid)
-    m = feature_metrics(curve, point_score=0.9, threshold=0.5, point_level=0.9)
+    m = explain(identity_first_feature, x, grid, Weights(), 0.5).metrics[0]
     assert m.raw_delta == pytest.approx(1.0, abs=1e-12)
     assert m.ratio == pytest.approx(0.9, abs=1e-12)
     assert m.class_change == 1.0
     # flip levels {0, 0.25, 0.5}; nearest is 0.5 -> Q = 1 - 0.4
     assert m.change_distance == pytest.approx(0.6, abs=1e-12)
-    assert m.delta is None
+    assert m.delta == 1.0  # the largest span of the explanation
 
 
 def test_metrics_flat_curve_degenerate():
     grid = two_feature_grid()
-    curve = perturbation_curve(lambda X: np.full(len(X), 0.9), np.array([0.9, 0.4]), 0, grid)
-    m = feature_metrics(curve, 0.9, 0.5, 0.9)
-    assert (m.raw_delta, m.ratio, m.class_change, m.change_distance) == (0.0, 0.0, 0.0, 0.0)
+    expl = explain(lambda X: np.full(len(X), 0.9), np.array([0.9, 0.4]), grid, Weights(), 0.5)
+    m = expl.metrics[0]
+    assert (m.raw_delta, m.ratio, m.class_change, m.change_distance, m.delta) == (0, 0, 0, 0, 0)
 
 
 def test_metrics_no_crossing_curve():
     # entirely above the threshold for an anomalous point: C = 0, Q = 0
     grid = two_feature_grid()
-    curve = perturbation_curve(lambda X: X[:, 0] + 10.0, np.array([0.9, 0.4]), 0, grid)
-    m = feature_metrics(curve, 10.9, 0.5, 0.9)
+    expl = explain(lambda X: X[:, 0] + 10.0, np.array([0.9, 0.4]), grid, Weights(), 0.5)
+    m = expl.metrics[0]
     assert m.class_change == 0.0
     assert m.change_distance == 0.0
     assert m.raw_delta == pytest.approx(1.0)
+
+
+# -- the scorer contract -------------------------------------------------------------
+
+
+BAD_OUTPUTS = {
+    "short": lambda X: X[:-1, 0],
+    "empty": lambda X: np.empty(0),
+    "long": lambda X: np.append(X[:, 0], 0.0),
+    "nan": lambda X: np.full(len(X), np.nan),
+}
+
+
+@pytest.mark.parametrize("output", BAD_OUTPUTS)
+@pytest.mark.parametrize("entry", ["explain", "overall_importance", "kernel_shap"])
+def test_every_scorer_output_is_checked(entry, output):
+    data = make_dataset(np.random.default_rng(8).normal(size=(20, 3)))
+    grid = build_quantile_grid(data, 5)
+    scorer = BAD_OUTPUTS[output]
+    with pytest.raises(NumericError, match="scorer returned"):
+        if entry == "explain":
+            explain(scorer, data.rows[0], grid, Weights(), 0.0)
+        elif entry == "overall_importance":
+            overall_importance(scorer, data, grid, Weights(), 0.0)
+        else:
+            kernel_shap(scorer, data.rows[0], data, coalitions=8)
 
 
 # -- explain ------------------------------------------------------------------------
@@ -205,17 +230,6 @@ def test_explain_deterministic():
     )
 
 
-def test_explain_threads_match_serial():
-    rng = np.random.default_rng(4)
-    data = make_dataset(rng.normal(size=(60, 6)))
-    grid = build_quantile_grid(data, 13)
-    scorer = random_scorer(rng, 6)
-    serial = explain(scorer, data.rows[0], grid, Weights(), 0.0)
-    threaded = explain(scorer, data.rows[0], grid, Weights(), 0.0, threads=4)
-    assert serial.importance.tobytes() == threaded.importance.tobytes()
-    assert serial.ranking == threaded.ranking
-
-
 @pytest.fixture(scope="module")
 def fitted_detectors():
     rng = np.random.default_rng(21)
@@ -255,7 +269,7 @@ def test_only_the_forests_own_score_takes_the_sweep(fitted_detectors, monkeypatc
         IsolationForest, "score_sweep", lambda self, *a: calls.append(1) or sweep(self, *a)
     )
     grid = build_quantile_grid(data, 5)
-    explain(forest.score, data.rows[0], grid, Weights(), 0.5, threads=2)
+    explain(forest.score, data.rows[0], grid, Weights(), 0.5)
     assert len(calls) == 1
     for wrapper in (lambda b: forest.score(b), CountingScorer(forest.score), models["loda"].score):
         explain(wrapper, data.rows[0], grid, Weights(), 0.5)
@@ -269,7 +283,7 @@ def test_each_detectors_own_score_takes_its_sweep(fitted_detectors, monkeypatch)
     sweep = Loda.score_sweep
     monkeypatch.setattr(Loda, "score_sweep", lambda self, *a: calls.append(1) or sweep(self, *a))
     grid = build_quantile_grid(data, 5)
-    explain(loda.score, data.rows[0], grid, Weights(), 0.5, threads=2)
+    explain(loda.score, data.rows[0], grid, Weights(), 0.5)
     assert len(calls) == 1
     for other in (lambda b: loda.score(b), CountingScorer(loda.score), models["iforest"].score):
         explain(other, data.rows[0], grid, Weights(), 0.5)
