@@ -13,7 +13,7 @@ import json
 import math
 from collections import deque
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -204,13 +204,22 @@ class IsolationForest:
         """
         feature, threshold, child, size, depth = self._nodes
         credit = expected_path_length(np.arange(self.subsample + 1))
-        root = np.repeat(self._roots, np.diff(self._roots, append=feature.size))
+        lengths = np.diff(self._roots, append=feature.size)
+        root = np.repeat(self._roots, lengths)
         leaf = child < 0
         self._feature = np.where(leaf, 0, feature)
         self._threshold = np.where(leaf, np.inf, threshold)
         self._child = np.where(leaf, np.arange(feature.size), root + child)
         self._h_final = np.where(leaf, depth + credit[size], 0.0)
         self._max_depth = int(depth.max())
+        # every split node as its (feature, tree) pair, numbered feature * n_trees
+        # + tree, and its threshold; sorted by pair for score_sweep
+        split = np.flatnonzero(~leaf)
+        tree = np.repeat(np.arange(self.n_trees), lengths)
+        pair = feature[split] * self.n_trees + tree[split]
+        order = np.argsort(pair, kind="stable")
+        self._split_pair = pair[order]
+        self._split_threshold = threshold[split][order]
 
     def score(self, x: np.ndarray) -> np.ndarray:
         """Anomaly scores in (0, 1) for a batch of samples."""
@@ -230,16 +239,21 @@ class IsolationForest:
         Entry [j, k] equals ``score`` of x with feature j replaced by
         ``values[j, k]``, bit for bit. A swept row differs from x in one
         coordinate, so a tree can score it differently only if x's own
-        path in that tree splits on the swept feature; only those
-        (tree, feature) pairs are walked, every other tree keeps x's leaf.
+        path in that tree splits on the swept feature; every other tree
+        keeps x's leaf. Splits are axis-parallel, so within such a
+        (feature, tree) pair all values between two consecutive split
+        thresholds of that tree on that feature reach one leaf: each row
+        of values is sorted once, the pair's thresholds cut it into runs,
+        and one row per run is walked.
         """
         point, values = _sweep_input(
             x, values, self.feature_names, "IsolationForest.score_sweep"
         )
         d, k = values.shape
+        n_trees = self.n_trees
 
-        on_path = np.zeros((d, self.n_trees), dtype=bool)
-        trees = np.arange(self.n_trees)
+        on_path = np.zeros((d, n_trees), dtype=bool)
+        trees = np.arange(n_trees)
         node = self._roots
         for _ in range(self._max_depth):
             child, feature = self._child[node], self._feature[node]
@@ -248,19 +262,42 @@ class IsolationForest:
             node = child + (point[feature] >= self._threshold[node])
         h_x = self._h_final[node]
 
-        out = np.empty((d, k))
+        order = np.argsort(values, axis=1, kind="stable")
+        ranked = np.take_along_axis(values, order, axis=1)
+        scores = np.empty((d, k))
         per_block = max(1, _BLOCK_ROWS // k)
         for a in range(0, d, per_block):
             n = min(per_block, d - a)
             batch = np.tile(point, (n * k, 1))
             swept = np.arange(a, a + n)[:, None]
-            batch.reshape(n, k, d)[swept - a, np.arange(k), swept] = values[a : a + n]
-            feat, tree = np.nonzero(on_path[a : a + n])
-            rows = (feat[:, None] * k + np.arange(k)).ravel()
-            tree = np.repeat(tree, k)
+            batch.reshape(n, k, d)[swept - a, np.arange(k), swept] = ranked[a : a + n]
+            # the block's on-path pairs, numbered (j - a) * n_trees + tree, and
+            # the split thresholds of each
+            block = on_path[a : a + n].ravel()
+            pairs = np.flatnonzero(block)
+            lo, hi = np.searchsorted(self._split_pair, [a * n_trees, (a + n) * n_trees])
+            pair = self._split_pair[lo:hi] - a * n_trees
+            mine = block.take(pair)
+            pair, threshold = pair[mine], self._split_threshold[lo:hi][mine]
+            # Cell (pair, slot) is numbered pair * k + slot. A run starts at slot
+            # 0 of every pair and at the slot of each of its thresholds, the
+            # first k with ranked[j, k] >= threshold (>= goes right); a slot of
+            # k starts none. A run ends where the next starts or its pair ends.
+            row = ranked[a : a + n].take(pair // n_trees, axis=0)
+            slot = (row < threshold[:, None]).sum(axis=1)
+            start = np.sort(np.concatenate([pairs * k, (pair * k + slot)[slot < k]]))
+            start = start[np.diff(start, prepend=-1) != 0]
+            run_pair, run_slot = np.divmod(start, k)
+            length = np.minimum(np.append(start[1:], block.size * k), (run_pair + 1) * k) - start
+            feat, tree = np.divmod(run_pair, n_trees)
+            h_run = self._walk(batch.ravel(), (feat * k + run_slot) * d, self._roots[tree])
+            feat, tree = np.divmod(pairs, n_trees)
+            cells = (feat[:, None] * k + np.arange(k)) * n_trees + tree[:, None]
             h = np.tile(h_x, (n * k, 1))
-            h[rows, tree] = self._walk(batch.ravel(), rows * d, self._roots[tree])
-            out[a : a + n] = self._score_of(h).reshape(n, k)
+            h.reshape(-1)[cells.ravel()] = np.repeat(h_run, length)
+            scores[a : a + n] = self._score_of(h).reshape(n, k)
+        out = np.empty((d, k))
+        np.put_along_axis(out, order, scores, axis=1)
         return out
 
     def score_coalitions(
@@ -276,6 +313,17 @@ class IsolationForest:
         features are recorded once per (row, tree) as bitmasks; only the
         pairs that pass neither test are walked.
         """
+        return self._coalition_scorer(x, background)(masks)
+
+    def _coalition_scorer(
+        self, x: np.ndarray, background: np.ndarray
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """``score_coalitions`` of x and the background as a function of the masks.
+
+        The background is walked here, once: every call of the returned
+        function reuses its leaves and bitmasks, which take n_bg * n_trees
+        * (8 + 16 * ceil(d / 64)) bytes.
+        """
         what = "IsolationForest.score_coalitions"
         point = _as_batch(x, self.feature_names, what)
         if point.shape[0] != 1:
@@ -283,20 +331,8 @@ class IsolationForest:
         point = point[0]
         bg = _as_batch(background, self.feature_names, what)
         d = point.size
-        masks = np.asarray(masks)
-        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != d:
-            raise ModelError(
-                f"coalition masks must be a boolean (n, {d}) array, "
-                f"got {masks.dtype} of shape {masks.shape}"
-            )
         # bit j % 64 of word j // 64 stands for feature j
         words = -(-d // 64)
-        padded = np.zeros((len(masks), words * 64), dtype=np.uint64)
-        padded[:, :d] = masks
-        inside = (padded.reshape(-1, words, 64) << np.arange(64, dtype=np.uint64)).sum(
-            axis=2, dtype=np.uint64
-        )
-        outside = ~inside  # bits past d are never set in a path mask
 
         x_path = []  # x's (node, goes right) per tree at every depth
         node = self._roots
@@ -306,7 +342,7 @@ class IsolationForest:
             node = self._child.take(node) + right
         h_x = self._h_final.take(node)
 
-        out = np.empty((len(masks), len(bg)))
+        blocks = []
         for a in range(0, len(bg), _BLOCK_ROWS):
             block = bg[a : a + _BLOCK_ROWS]
             rows = len(block)
@@ -327,21 +363,39 @@ class IsolationForest:
                 feature = self._feature.take(x_node)
                 right = flat.take(base + feature) >= self._threshold.take(x_node)
                 _mark(off_x, np.broadcast_to(feature, right.shape), right != x_right)
+            blocks.append((a, block, h_b, off_b, off_x))
 
-            for i in range(len(masks)):
-                leaves_b = (off_b[0] & inside[i, 0]) != 0
-                leaves_x = (off_x[0] & outside[i, 0]) != 0
-                for w in range(1, words):
-                    leaves_b |= (off_b[w] & inside[i, w]) != 0
-                    leaves_x |= (off_x[w] & outside[i, w]) != 0
-                h = np.where(leaves_b, h_x, h_b)
-                cell = np.flatnonzero(leaves_b & leaves_x)
-                if cell.size:
-                    r, t = np.divmod(cell, self.n_trees)
-                    hybrid = np.where(masks[i], point, block)
-                    h.put(cell, self._walk(hybrid.ravel(), r * d, self._roots.take(t)))
-                out[i, a : a + rows] = self._score_of(h)
-        return out
+        def score(masks: np.ndarray) -> np.ndarray:
+            masks = np.asarray(masks)
+            if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != d:
+                raise ModelError(
+                    f"coalition masks must be a boolean (n, {d}) array, "
+                    f"got {masks.dtype} of shape {masks.shape}"
+                )
+            padded = np.zeros((len(masks), words * 64), dtype=np.uint64)
+            padded[:, :d] = masks
+            inside = (padded.reshape(-1, words, 64) << np.arange(64, dtype=np.uint64)).sum(
+                axis=2, dtype=np.uint64
+            )
+            outside = ~inside  # bits past d are never set in a path mask
+            out = np.empty((len(masks), len(bg)))
+            for a, block, h_b, off_b, off_x in blocks:
+                for i in range(len(masks)):
+                    leaves_b = (off_b[0] & inside[i, 0]) != 0
+                    leaves_x = (off_x[0] & outside[i, 0]) != 0
+                    for w in range(1, words):
+                        leaves_b |= (off_b[w] & inside[i, w]) != 0
+                        leaves_x |= (off_x[w] & outside[i, w]) != 0
+                    h = np.where(leaves_b, h_x, h_b)
+                    cell = np.flatnonzero(leaves_b & leaves_x)
+                    if cell.size:
+                        r, t = np.divmod(cell, self.n_trees)
+                        hybrid = np.where(masks[i], point, block)
+                        h.put(cell, self._walk(hybrid.ravel(), r * d, self._roots.take(t)))
+                    out[i, a : a + len(block)] = self._score_of(h)
+            return out
+
+        return score
 
     def _walk(self, flat: np.ndarray, base: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Leaf credit each walker reaches from ``node``; walkers read flat[base + feature]."""

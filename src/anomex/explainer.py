@@ -25,10 +25,12 @@ it at once.
 A built-in detector's own bound ``score`` (IsolationForest or Loda) is
 the one exception: it reaches the same scores, bit for bit, through the
 detector's ``score_sweep``, which recomputes only what the swept feature
-can change: the trees whose path for x splits on it, or the projections
-with a nonzero weight on it. Any wrapper around it (a lambda, an
-evaluation counter, a tracer) takes the generic path and sees all
-d*K + 1 evaluations. Every scorer output is checked for one finite score
+can change. A forest walks only the trees whose path for x splits on it,
+and in each such tree one value per interval between that tree's split
+thresholds on the feature. LODA recomputes only the projections with a
+nonzero weight on it. Any wrapper around it (a lambda, an evaluation
+counter, a tracer) takes the generic path and sees all d*K + 1
+evaluations. Every scorer output is checked for one finite score
 per sample; anything else is a NumericError.
 
 ``PerturbationCurve`` and ``FeatureMetrics`` are per-feature views of

@@ -149,15 +149,17 @@ def _coalition_scores(
 ) -> Iterator[np.ndarray]:
     """Background scores of each coalition's hybrid rows, in mask order.
 
-    A forest's own bound ``score`` evaluates them path-locally, in chunks
-    of masks that bound the (masks, rows) score matrix; any other scorer
-    gets one call per coalition.
+    A forest's own bound ``score`` evaluates them path-locally: it walks
+    the background once, then scores chunks of masks that bound the
+    (masks, rows) score matrix. Any other scorer gets one call per
+    coalition.
     """
     forest = bound_detector(scorer)
     if isinstance(forest, IsolationForest):
+        score = forest._coalition_scorer(x, bg)
         per_call = max(1, _COALITION_CELLS // max(1, len(bg)))
         for a in range(0, len(masks), per_call):
-            yield from forest.score_coalitions(x, bg, masks[a : a + per_call])
+            yield from score(masks[a : a + per_call])
         return
     hybrid = np.empty_like(bg)
     for mask in masks:

@@ -131,27 +131,21 @@ def test_overall_importance_is_the_histogram_of_explain_rankings(monkeypatch):
         assert got.matrix.tobytes() == hist.matrix.tobytes()
 
 
-def test_only_a_forests_own_score_fans_out_over_the_cores(monkeypatch):
+def test_overall_importance_runs_every_scorer_serially(monkeypatch):
     import os
+    import threading
 
-    from anomex import aggregate
+    def forbidden(self):
+        raise AssertionError("overall_importance started a thread")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    pools = []
-    real_pool = aggregate.ThreadPoolExecutor
-
-    def spy(*args, **kwargs):
-        pools.append(kwargs.get("max_workers"))
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(aggregate, "ThreadPoolExecutor", spy)
+    monkeypatch.setattr(threading.Thread, "start", forbidden)
     data = generate(SynthSpec(600, 30, 5, 1, 4.0, seed=5))
     grid = build_quantile_grid(data, 9)
     forest = IsolationForest.fit(data, trees=30, subsample=64, seed=1)
     scores = forest.score(data.rows)
     tau = fit_threshold(scores, 0.05)
     got = overall_importance(forest.score, data, grid, Weights(), tau, top_positions=4)
-    assert pools == [4]
     rankings = [
         explain(forest.score, data.rows[i], grid, Weights(), tau).ranking
         for i in np.nonzero(scores > tau)[0]
@@ -163,7 +157,6 @@ def test_only_a_forests_own_score_fans_out_over_the_cores(monkeypatch):
     for scorer in (loda.score, lambda X: loda.score(X), lambda X: forest.score(X)):
         tau = fit_threshold(scorer(data.rows), 0.05)
         overall_importance(scorer, data, grid, Weights(), tau)
-    assert pools == [4]
 
 
 # -- merging ---------------------------------------------------------------------

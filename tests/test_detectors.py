@@ -120,15 +120,17 @@ def swept_batch(x, values):
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(1, 4),
-    k=st.integers(2, 6),
+    k=st.integers(1, 6),
     n=st.integers(2, 30),
     trees=st.integers(1, 8),
     constant=st.lists(st.booleans(), min_size=4, max_size=4),
+    only_thresholds=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@example(d=1, k=2, n=2, trees=1, constant=[False] * 4, seed=0)
-@example(d=3, k=2, n=10, trees=4, constant=[True] * 4, seed=1)  # every tree a single leaf
-def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, seed):
+@example(d=1, k=2, n=2, trees=1, constant=[False] * 4, only_thresholds=False, seed=0)
+@example(d=3, k=2, n=10, trees=4, constant=[True] * 4, only_thresholds=False, seed=1)  # all leaves
+@example(d=3, k=6, n=20, trees=4, constant=[False] * 4, only_thresholds=True, seed=2)
+def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, only_thresholds, seed):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n, d))
     rows[:, np.asarray(constant[:d])] = 1.5
@@ -141,7 +143,10 @@ def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, seed)
     # split thresholds hit the >= tie; +-1e6 lies outside the training range
     pool = np.concatenate([thresholds, rows.ravel(), [-1e6, 1e6]])
     x = pool[rng.integers(pool.size, size=d)]
-    values = np.sort(pool[rng.integers(pool.size, size=(d, k))], axis=1)
+    if only_thresholds and thresholds:
+        pool = np.asarray(thresholds)
+    # rows of values are unsorted and repeat values
+    values = pool[rng.integers(pool.size, size=(d, k))]
     expected = model.score(swept_batch(x, values)).reshape(d, k)
     assert np.array_equal(model.score_sweep(x, values), expected)
 
@@ -157,6 +162,39 @@ def test_score_is_blockwise_exact(gaussian_data):
     values = np.sort(rng.normal(size=(4, _BLOCK_ROWS // 2 + 1)), axis=1)
     expected = model.score(swept_batch(batch[0], values)).reshape(values.shape)
     assert np.array_equal(model.score_sweep(batch[0], values), expected)
+
+
+def test_score_sweep_walks_one_row_per_threshold_interval(monkeypatch):
+    # Splits are axis-parallel: in an on-path (tree, feature) pair, the tree's
+    # t split thresholds on the feature cut a sweep into at most t + 1 runs
+    # that each reach one leaf, so at most t + 1 rows of the pair are walked.
+    rng = np.random.default_rng(11)
+    data = make_dataset(rng.normal(size=(500, 20)))
+    model = IsolationForest.fit(data, trees=20, subsample=64, seed=3)
+    grid = build_quantile_grid(data, 51)
+    x = data.rows[int(np.argmax(model.score(data.rows)))]
+    pairs = bound = 0
+    for tree in model.to_dict()["trees"]:
+        feature, threshold, child = tree["feature"], tree["threshold"], tree["child"]
+        splits = np.bincount([f for f, c in zip(feature, child) if c != -1], minlength=20)
+        node, on_path = 0, set()
+        while child[node] != -1:
+            on_path.add(feature[node])
+            node = child[node] + (x[feature[node]] >= threshold[node])
+        pairs += len(on_path)
+        bound += sum(1 + splits[f] for f in on_path)
+    walked = []
+    walk = IsolationForest._walk
+
+    def counting(self, flat, base, node):
+        walked.append(np.broadcast(base, node).size)
+        return walk(self, flat, base, node)
+
+    monkeypatch.setattr(IsolationForest, "_walk", counting)
+    sweep = model.score_sweep(x, grid.values)
+    assert pairs <= sum(walked) <= bound < pairs * 51
+    monkeypatch.undo()
+    assert np.array_equal(sweep, model.score(swept_batch(x, grid.values)).reshape(20, 51))
 
 
 def test_score_sweep_rejects_bad_input(gaussian_data):

@@ -172,32 +172,38 @@ def forest_workload():
 def test_forest_score_explains_like_any_scorer(forest_workload, coalitions, monkeypatch):
     data, forest = forest_workload
     bg = sample_background(data, 0.3, seed=1)
-    calls = []
-    own = IsolationForest.score_coalitions
-    monkeypatch.setattr(
-        IsolationForest, "score_coalitions", lambda self, *a: calls.append(1) or own(self, *a)
-    )
+    walks, chunks = [], []
+    own = IsolationForest._coalition_scorer
+
+    def counting(self, *a):
+        walks.append(1)  # the background is walked once per scorer
+        score = own(self, *a)
+        return lambda masks: chunks.append(1) or score(masks)
+
+    monkeypatch.setattr(IsolationForest, "_coalition_scorer", counting)
     for i in (0, 3, 200):
         direct = kernel_shap(forest.score, data.rows[i], bg, coalitions, seed=i)
         wrapped = kernel_shap(lambda b: forest.score(b), data.rows[i], bg, coalitions, seed=i)
         assert direct.phi.tobytes() == wrapped.phi.tobytes()
         assert (direct.base_value, direct.score) == (wrapped.base_value, wrapped.score)
         assert direct.coalitions == wrapped.coalitions
-    assert len(calls) == 3
-    # chunks of masks bounding the score matrix give the same values
+    assert len(walks) == len(chunks) == 3
+    # chunks of masks bounding the score matrix give the same values, and the
+    # background is still walked once per call
     monkeypatch.setattr(shap_baseline, "_COALITION_CELLS", 7 * bg.n_rows)
     chunked = kernel_shap(forest.score, data.rows[0], bg, coalitions, seed=0)
     assert chunked.phi.tobytes() == kernel_shap(
         lambda b: forest.score(b), data.rows[0], bg, coalitions, seed=0
     ).phi.tobytes()
-    assert len(calls) == 3 + -(-(chunked.coalitions - 2) // 7)
+    assert len(walks) == 4
+    assert len(chunks) == 3 + -(-(chunked.coalitions - 2) // 7) >= 3 + 2
 
 
 def test_only_the_forests_own_score_takes_the_coalition_path(forest_workload, monkeypatch):
     data, forest = forest_workload
     bg = sample_background(data, 0.1, seed=2)
     monkeypatch.setattr(
-        IsolationForest, "score_coalitions", lambda *a: pytest.fail("wrapper took the forest path")
+        IsolationForest, "_coalition_scorer", lambda *a: pytest.fail("wrapper took the forest path")
     )
     counting = CountingScorer(forest.score)
     expl = kernel_shap(counting, data.rows[0], bg, 40, seed=0)
