@@ -46,9 +46,9 @@ for j in expl.ranking:
           f"{int(m.class_change):>4} {m.change_distance:6.3f} {expl.importance[j]:11.3f}")
 
 top = expl.ranking[0]
-flip_scores = expl.curves[top].scores <= tau
+flip_scores = expl.sweep[top] <= tau
 if flip_scores.any():
-    lv = float(expl.curves[top].levels[flip_scores][0])
+    lv = float(expl.levels[flip_scores][0])
     print(f"\nmoving {expl.feature_names[top]} to its level-{lv:.2f} quantile "
           f"would classify the point as normal")
 

@@ -30,9 +30,7 @@ from anomex.detectors import (
     save_model,
 )
 from anomex.explainer import (
-    FeatureMetrics,
     LocalExplanation,
-    PerturbationCurve,
     Weights,
     explain,
     explanation_to_dict,
@@ -87,9 +85,7 @@ __all__ = [
     "average_precision",
     "load_model",
     "save_model",
-    "FeatureMetrics",
     "LocalExplanation",
-    "PerturbationCurve",
     "Weights",
     "explain",
     "explanation_to_dict",

@@ -17,7 +17,7 @@ import numpy as np
 
 from anomex.data import Dataset, QuantileGrid, Scorer, checked_scores
 from anomex.errors import DataError
-from anomex.explainer import Weights, _as_point, _rank_features, validate_weights
+from anomex.explainer import Weights, explain, validate_weights
 
 OTHERS_NAME = "others"
 DEFAULT_CUTOFF = 0.05
@@ -101,10 +101,7 @@ def overall_importance(
     if not isinstance(weights, Weights):
         weights = validate_weights(weights)
 
-    rankings = [
-        _rank_features(scorer, _as_point(data.rows[i], grid), grid, weights, threshold).ranking
-        for i in flagged
-    ]
+    rankings = [explain(scorer, data.rows[i], grid, weights, threshold).ranking for i in flagged]
     return rank_histogram(rankings, data.feature_names, top_positions)
 
 

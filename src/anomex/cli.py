@@ -215,10 +215,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     weights = validate_weights(args.weights.split(","))
     grid = _quantile_grid(data, args.quantiles)
     expl = explain(detector.score, x, grid, weights, threshold, feature_names=data.feature_names)
+    # the chart is rendered first, so a bad chart flag leaves no file behind
+    svg = render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
-    if args.svg:
-        top_k = args.top_k if args.top_k is not None else min(10, data.n_features)
-        _write_text(args.svg, render_whatif(expl, top_k=top_k, width=args.width))
+    if svg:
+        _write_text(args.svg, svg)
     top = expl.feature_names[expl.ranking[0]]
     print(
         f"row {args.row}: score={expl.score:.6g} ({expl.classification.value}), "
@@ -239,9 +240,10 @@ def _cmd_overall(args: argparse.Namespace) -> int:
     # small features are folded into the synthetic 'others' row
     top = hist.feature_names[int(np.argmax(hist.matrix[:, 0]))]
     hist = merge_others(hist, args.cutoff)
+    svg = render_rank_bars(hist, width=args.width, height=args.height) if args.svg else None
     _write_text(args.out, _dump_json(histogram_to_dict(hist)))
-    if args.svg:
-        _write_text(args.svg, render_rank_bars(hist, width=args.width, height=args.height))
+    if svg:
+        _write_text(args.svg, svg)
     print(f"{hist.n_anomalies} anomalies explained, top rank-1 feature {top}")
     return 0
 

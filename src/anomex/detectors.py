@@ -54,20 +54,26 @@ def _as_batch(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
     return arr
 
 
+def _one_point(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
+    """Check one sample against the model's features; returns it as a (d,) array."""
+    point = _as_batch(x, names, what)
+    if point.shape[0] != 1:
+        raise ModelError(f"{what} expects one sample, got {point.shape[0]}")
+    return point[0]
+
+
 def _sweep_input(
     x: np.ndarray, values: np.ndarray, names: tuple[str, ...], what: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check one point and its (d, K >= 1) sweep values; returns both as float arrays."""
-    point = _as_batch(x, names, what)
-    if point.shape[0] != 1:
-        raise ModelError(f"{what} expects one sample, got {point.shape[0]}")
+    point = _one_point(x, names, what)
     d = len(names)
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != d or values.shape[1] == 0:
         raise ModelError(f"sweep values must be ({d}, K >= 1), got shape {values.shape}")
     if not np.isfinite(values).all():
         raise DataError(f"{what}: non-finite sweep value")
-    return point[0], values
+    return point, values
 
 
 def _require_keys(doc: object, keys: Sequence[str], what: str) -> None:
@@ -252,15 +258,10 @@ class IsolationForest:
         d, k = values.shape
         n_trees = self.n_trees
 
+        path, h_x = self._path(point)
+        split = self._child.take(path) != path  # leaves loop back on themselves
         on_path = np.zeros((d, n_trees), dtype=bool)
-        trees = np.arange(n_trees)
-        node = self._roots
-        for _ in range(self._max_depth):
-            child, feature = self._child[node], self._feature[node]
-            split = child != node  # leaves loop back on themselves
-            on_path[feature[split], trees[split]] = True
-            node = child + (point[feature] >= self._threshold[node])
-        h_x = self._h_final[node]
+        on_path[self._feature.take(path[split]), np.nonzero(split)[1]] = True
 
         order = np.argsort(values, axis=1, kind="stable")
         ranked = np.take_along_axis(values, order, axis=1)
@@ -313,34 +314,38 @@ class IsolationForest:
         features are recorded once per (row, tree) as bitmasks; only the
         pairs that pass neither test are walked.
         """
-        return self._coalition_scorer(x, background)(masks)
+        masks = np.asarray(masks)
+        d = len(self.feature_names)
+        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != d:
+            raise ModelError(
+                f"coalition masks must be a boolean (n, {d}) array, "
+                f"got {masks.dtype} of shape {masks.shape}"
+            )
+        score = self._coalition_scorer(x, background)
+        out = np.empty((len(masks), len(np.atleast_2d(background))))
+        for i, mask in enumerate(masks):
+            out[i] = score(mask)
+        return out
 
     def _coalition_scorer(
         self, x: np.ndarray, background: np.ndarray
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """``score_coalitions`` of x and the background as a function of the masks.
+        """``score_coalitions`` of x and the background for one boolean (d,) mask.
 
         The background is walked here, once: every call of the returned
         function reuses its leaves and bitmasks, which take n_bg * n_trees
-        * (8 + 16 * ceil(d / 64)) bytes.
+        * (8 + 16 * ceil(d / 64)) bytes, and returns the (n_bg,) scores.
         """
         what = "IsolationForest.score_coalitions"
-        point = _as_batch(x, self.feature_names, what)
-        if point.shape[0] != 1:
-            raise ModelError(f"{what} expects one sample, got {point.shape[0]}")
-        point = point[0]
+        point = _one_point(x, self.feature_names, what)
         bg = _as_batch(background, self.feature_names, what)
         d = point.size
         # bit j % 64 of word j // 64 stands for feature j
         words = -(-d // 64)
 
-        x_path = []  # x's (node, goes right) per tree at every depth
-        node = self._roots
-        for _ in range(self._max_depth):
-            right = point.take(self._feature.take(node)) >= self._threshold.take(node)
-            x_path.append((node, right))
-            node = self._child.take(node) + right
-        h_x = self._h_final.take(node)
+        path, h_x = self._path(point)
+        x_feature, x_threshold = self._feature.take(path), self._threshold.take(path)
+        x_right = point.take(x_feature) >= x_threshold
 
         blocks = []
         for a in range(0, len(bg), _BLOCK_ROWS):
@@ -359,43 +364,43 @@ class IsolationForest:
                 node = self._child.take(node) + right
             h_b = self._h_final.take(node)
             off_x = np.zeros_like(off_b)
-            for x_node, x_right in x_path:
-                feature = self._feature.take(x_node)
-                right = flat.take(base + feature) >= self._threshold.take(x_node)
-                _mark(off_x, np.broadcast_to(feature, right.shape), right != x_right)
+            for feature, threshold, right_x in zip(x_feature, x_threshold, x_right):
+                right = flat.take(base + feature) >= threshold
+                _mark(off_x, np.broadcast_to(feature, right.shape), right != right_x)
             blocks.append((a, block, h_b, off_b, off_x))
 
-        def score(masks: np.ndarray) -> np.ndarray:
-            masks = np.asarray(masks)
-            if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != d:
-                raise ModelError(
-                    f"coalition masks must be a boolean (n, {d}) array, "
-                    f"got {masks.dtype} of shape {masks.shape}"
-                )
-            padded = np.zeros((len(masks), words * 64), dtype=np.uint64)
-            padded[:, :d] = masks
-            inside = (padded.reshape(-1, words, 64) << np.arange(64, dtype=np.uint64)).sum(
-                axis=2, dtype=np.uint64
-            )
+        def score(mask: np.ndarray) -> np.ndarray:
+            padded = np.zeros(words * 64, dtype=bool)
+            padded[:d] = mask
+            inside = np.packbits(padded, bitorder="little").view("<u8")
             outside = ~inside  # bits past d are never set in a path mask
-            out = np.empty((len(masks), len(bg)))
+            out = np.empty(len(bg))
             for a, block, h_b, off_b, off_x in blocks:
-                for i in range(len(masks)):
-                    leaves_b = (off_b[0] & inside[i, 0]) != 0
-                    leaves_x = (off_x[0] & outside[i, 0]) != 0
-                    for w in range(1, words):
-                        leaves_b |= (off_b[w] & inside[i, w]) != 0
-                        leaves_x |= (off_x[w] & outside[i, w]) != 0
-                    h = np.where(leaves_b, h_x, h_b)
-                    cell = np.flatnonzero(leaves_b & leaves_x)
-                    if cell.size:
-                        r, t = np.divmod(cell, self.n_trees)
-                        hybrid = np.where(masks[i], point, block)
-                        h.put(cell, self._walk(hybrid.ravel(), r * d, self._roots.take(t)))
-                    out[i, a : a + len(block)] = self._score_of(h)
+                leaves_b = (off_b[0] & inside[0]) != 0
+                leaves_x = (off_x[0] & outside[0]) != 0
+                for w in range(1, words):
+                    leaves_b |= (off_b[w] & inside[w]) != 0
+                    leaves_x |= (off_x[w] & outside[w]) != 0
+                h = np.where(leaves_b, h_x, h_b)
+                cell = np.flatnonzero(leaves_b & leaves_x)
+                if cell.size:
+                    r, t = np.divmod(cell, self.n_trees)
+                    hybrid = np.where(mask, point, block)
+                    h.put(cell, self._walk(hybrid.ravel(), r * d, self._roots.take(t)))
+                out[a : a + len(block)] = self._score_of(h)
             return out
 
         return score
+
+    def _path(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A point's node per depth and tree, (max depth, n_trees), and its leaf credits."""
+        path = np.empty((self._max_depth, self.n_trees), dtype=self._child.dtype)
+        node = self._roots
+        for depth in range(self._max_depth):
+            path[depth] = node
+            right = point.take(self._feature.take(node)) >= self._threshold.take(node)
+            node = self._child.take(node) + right
+        return path, self._h_final.take(node)
 
     def _walk(self, flat: np.ndarray, base: np.ndarray, node: np.ndarray) -> np.ndarray:
         """Leaf credit each walker reaches from ``node``; walkers read flat[base + feature]."""

@@ -33,16 +33,17 @@ counter, a tracer) takes the generic path and sees all d*K + 1
 evaluations. Every scorer output is checked for one finite score
 per sample; anything else is a NumericError.
 
-``PerturbationCurve`` and ``FeatureMetrics`` are per-feature views of
-that matrix and of the metric columns, kept as the fields of a
-``LocalExplanation`` for reports and charts; there is no per-feature
-entry point.
+A ``LocalExplanation`` is the one record of an explanation: the grid
+levels, the (d, K) sweep over them, and the metrics as a record array
+with one record per feature. Reports and charts read those arrays
+directly; there is no per-feature object or entry point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class Weights:
 
     def __post_init__(self) -> None:
         vals = (self.delta, self.class_change, self.change_distance, self.ratio)
+        if not all(math.isfinite(w) for w in vals):
+            raise ValueError(f"weights must be finite, got {vals}")
         if any(w < 0 for w in vals):
             raise ValueError(f"weights must be non-negative, got {vals}")
         total = sum(vals)
@@ -79,29 +82,16 @@ def validate_weights(values: Sequence[float]) -> Weights:
 
 
 @dataclass(frozen=True, eq=False)
-class PerturbationCurve:
-    """Scores obtained by sweeping one feature over the grid levels."""
-
-    feature: int
-    levels: np.ndarray
-    scores: np.ndarray
-
-
-@dataclass(frozen=True)
-class FeatureMetrics:
-    """One feature's metrics; ``delta`` is ``raw_delta`` normalized across
-    all features of the explanation."""
-
-    raw_delta: float
-    ratio: float
-    class_change: float
-    change_distance: float
-    delta: float
-
-
-@dataclass(frozen=True, eq=False)
 class LocalExplanation:
-    """Full what-if record for one explained point."""
+    """Full what-if record for one explained point.
+
+    ``sweep[j, k]`` is the score with feature j at ``levels[k]``.
+    ``metrics`` is a record array over the features with the fields
+    ``raw_delta``, ``ratio``, ``class_change``, ``change_distance`` and
+    ``delta`` (``raw_delta`` normalized across all features):
+    ``metrics.delta`` is a column and ``metrics[j].delta`` one feature's
+    value.
+    """
 
     point: np.ndarray
     score: float
@@ -110,8 +100,9 @@ class LocalExplanation:
     weights: Weights
     feature_names: tuple[str, ...]
     point_levels: np.ndarray
-    curves: tuple[PerturbationCurve, ...]
-    metrics: tuple[FeatureMetrics, ...]
+    levels: np.ndarray  # (K,)
+    sweep: np.ndarray  # (d, K)
+    metrics: np.recarray  # (d,)
     importance: np.ndarray
     ranking: tuple[int, ...]
 
@@ -121,7 +112,7 @@ class LocalExplanation:
 
 
 def _curve_scores(scorer: Scorer, x: np.ndarray, feature: int, grid: QuantileGrid) -> np.ndarray:
-    """Scores of x, a point from ``_as_point``, with ``feature`` at each grid level."""
+    """Scores of x with ``feature`` at each grid level."""
     batch = np.repeat(x[None, :], grid.n_levels, axis=0)
     batch[:, feature] = grid.values[feature]
     return checked_scores(
@@ -149,65 +140,6 @@ def _sweep_metrics(
     return raw_delta, ratio, changes.astype(np.float64), change_distance
 
 
-class _Ranked(NamedTuple):
-    """What one explanation computes, before the per-feature views."""
-
-    score: float
-    sweep: np.ndarray  # (d, K) scores
-    point_levels: np.ndarray
-    metrics: tuple[np.ndarray, ...]  # raw delta, ratio, class change, change distance, delta
-    importance: np.ndarray
-    ranking: tuple[int, ...]
-
-
-def _as_point(x: np.ndarray, grid: QuantileGrid) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != grid.n_features:
-        raise ValueError(f"point has {x.size} features but grid has {grid.n_features}")
-    return x
-
-
-def _rank_features(
-    scorer: Scorer,
-    x: np.ndarray,
-    grid: QuantileGrid,
-    weights: Weights,
-    threshold: float,
-) -> _Ranked:
-    """Score x and its (d, K) sweep; metrics, importance and ranking over it at once.
-
-    ``x`` comes from ``_as_point``. Shared by ``explain`` and by callers
-    that need only the ranking, which skip the per-feature objects.
-    """
-    s_x = float(checked_scores(scorer(x[None, :]), 1, lambda _: "the explained point")[0])
-    detector = bound_detector(scorer)
-    if detector is not None:
-        sweep = detector.score_sweep(x, grid.values)
-    else:
-        sweep = np.stack([_curve_scores(scorer, x, j, grid) for j in range(grid.n_features)])
-
-    point_levels = levels_of(grid, x)
-    raw_delta, ratio, class_change, change_distance = _sweep_metrics(
-        sweep, s_x, threshold, grid.levels, point_levels
-    )
-    max_raw = float(raw_delta.max())
-    delta = raw_delta / max_raw if max_raw > 0.0 else np.zeros(grid.n_features)
-    importance = (
-        weights.delta * delta
-        + weights.class_change * class_change
-        + weights.change_distance * change_distance
-        + weights.ratio * ratio
-    )
-    return _Ranked(
-        score=s_x,
-        sweep=sweep,
-        point_levels=point_levels,
-        metrics=(raw_delta, ratio, class_change, change_distance, delta),
-        importance=importance,
-        ranking=tuple(np.argsort(-importance, kind="stable").tolist()),
-    )
-
-
 def explain(
     scorer: Scorer,
     x: np.ndarray,
@@ -217,7 +149,7 @@ def explain(
     *,
     feature_names: Sequence[str] | None = None,
 ) -> LocalExplanation:
-    """Explain the anomaly score of ``x``: curves, metrics, ranking.
+    """Explain the anomaly score of ``x``: sweep, metrics, ranking.
 
     Performs exactly d*K + 1 scorer evaluations (one per feature-level
     pair plus one for the point itself), except that a built-in
@@ -234,8 +166,10 @@ def explain(
     """
     if not isinstance(weights, Weights):
         weights = validate_weights(weights)
-    x = _as_point(x, grid)
+    x = np.array(x, dtype=np.float64).ravel()
     d = grid.n_features
+    if x.size != d:
+        raise ValueError(f"point has {x.size} features but grid has {d}")
     if feature_names is None:
         names = tuple(f"f{j}" for j in range(d))
     else:
@@ -243,25 +177,53 @@ def explain(
         if len(names) != d:
             raise ValueError(f"{len(names)} feature names for {d} features")
 
-    ranked = _rank_features(scorer, x, grid, weights, threshold)
+    score = float(checked_scores(scorer(x[None, :]), 1, lambda _: "the explained point")[0])
+    detector = bound_detector(scorer)
+    if detector is not None:
+        sweep = detector.score_sweep(x, grid.values)
+    else:
+        sweep = np.stack([_curve_scores(scorer, x, j, grid) for j in range(d)])
+    point_levels = levels_of(grid, x)
+    raw_delta, ratio, class_change, change_distance = _sweep_metrics(
+        sweep, score, threshold, grid.levels, point_levels
+    )
+    max_raw = float(raw_delta.max())
+    delta = raw_delta / max_raw if max_raw > 0.0 else np.zeros(d)
+    importance = (
+        weights.delta * delta
+        + weights.class_change * class_change
+        + weights.change_distance * change_distance
+        + weights.ratio * ratio
+    )
     return LocalExplanation(
-        point=x.copy(),
-        score=ranked.score,
-        classification=classify(ranked.score, threshold),
+        point=x,
+        score=score,
+        classification=classify(score, threshold),
         threshold=threshold,
         weights=weights,
         feature_names=names,
-        point_levels=ranked.point_levels,
-        curves=tuple(PerturbationCurve(j, grid.levels, ranked.sweep[j]) for j in range(d)),
-        metrics=tuple(FeatureMetrics(*m) for m in zip(*(c.tolist() for c in ranked.metrics))),
-        importance=ranked.importance,
-        ranking=ranked.ranking,
+        point_levels=point_levels,
+        levels=grid.levels,
+        sweep=sweep,
+        metrics=np.rec.fromarrays(
+            [raw_delta, ratio, class_change, change_distance, delta],
+            names="raw_delta,ratio,class_change,change_distance,delta",
+        ),
+        importance=importance,
+        ranking=tuple(np.argsort(-importance, kind="stable").tolist()),
     )
 
 
 def explanation_to_dict(expl: LocalExplanation, point_id: int | str | None = None) -> dict:
     """JSON-ready document for one local explanation."""
     rank_of = {j: pos + 1 for pos, j in enumerate(expl.ranking)}
+    levels, sweep = expl.levels.tolist(), expl.sweep.tolist()
+    point_levels, importance = expl.point_levels.tolist(), expl.importance.tolist()
+    columns = {
+        key: expl.metrics[name].tolist()
+        for key, name in (("D", "delta"), ("R", "ratio"), ("C", "class_change"),
+                          ("Q", "change_distance"), ("raw_delta", "raw_delta"))
+    }
     return {
         "method": "acme_ad",
         "point_id": point_id,
@@ -277,19 +239,10 @@ def explanation_to_dict(expl: LocalExplanation, point_id: int | str | None = Non
         "features": [
             {
                 "name": expl.feature_names[j],
-                "level_of_x": float(expl.point_levels[j]),
-                "curve": [
-                    [float(lv), float(sc)]
-                    for lv, sc in zip(expl.curves[j].levels, expl.curves[j].scores)
-                ],
-                "metrics": {
-                    "D": expl.metrics[j].delta,
-                    "R": expl.metrics[j].ratio,
-                    "C": expl.metrics[j].class_change,
-                    "Q": expl.metrics[j].change_distance,
-                    "raw_delta": expl.metrics[j].raw_delta,
-                },
-                "importance": float(expl.importance[j]),
+                "level_of_x": point_levels[j],
+                "curve": [[lv, sc] for lv, sc in zip(levels, sweep[j])],
+                "metrics": {key: column[j] for key, column in columns.items()},
+                "importance": importance[j],
                 "rank": rank_of[j],
             }
             for j in range(expl.n_features)

@@ -16,12 +16,13 @@ of their size.
 
 A generic scorer is called once per coalition on all the hybrid rows.
 An Isolation Forest's own bound ``score`` is the one exception: it
-reaches the same values, bit for bit, through the forest's
-``score_coalitions``, which walks a (row, tree) pair only when the
-hybrid row can leave both the background row's path and x's path. Any
-wrapper around it (a lambda, an evaluation counter, a tracer) and LODA
-keep one call per coalition. Either way the cost stays linear in the
-background size.
+reaches the same values, bit for bit, through the path-local scorer
+behind the forest's ``score_coalitions``: it walks the background once,
+then scores one coalition at a time, walking a (row, tree) pair only
+when the hybrid row can leave both the background row's path and x's
+path. Any wrapper around it (a lambda, an evaluation counter, a tracer)
+and LODA keep one call per coalition. Either way the cost stays linear
+in the background size.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ from anomex.errors import NumericError
 
 EXACT_ENUMERATION_MAX_D = 16
 RIDGE_DAMPING = 1e-8
-# Cells of the (masks, background rows) score matrix per call of a
-# forest's score_coalitions: 8 MB, whatever the background size.
-_COALITION_CELLS = 2**20
 
 logger = logging.getLogger(__name__)
 
@@ -150,16 +148,12 @@ def _coalition_scores(
     """Background scores of each coalition's hybrid rows, in mask order.
 
     A forest's own bound ``score`` evaluates them path-locally: it walks
-    the background once, then scores chunks of masks that bound the
-    (masks, rows) score matrix. Any other scorer gets one call per
-    coalition.
+    the background once, then scores one mask at a time. Any other scorer
+    gets one call per coalition.
     """
     forest = bound_detector(scorer)
     if isinstance(forest, IsolationForest):
-        score = forest._coalition_scorer(x, bg)
-        per_call = max(1, _COALITION_CELLS // max(1, len(bg)))
-        for a in range(0, len(masks), per_call):
-            yield from score(masks[a : a + per_call])
+        yield from map(forest._coalition_scorer(x, bg), masks)
         return
     hybrid = np.empty_like(bg)
     for mask in masks:

@@ -72,10 +72,10 @@ def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int =
     margin_left, margin_right, margin_top, margin_bottom = 150, 30, 46, 42
     height = margin_top + row_height * top_k + margin_bottom
     plot_w = width - margin_left - margin_right
+    if plot_w <= 0:
+        raise ValueError(f"width must exceed {margin_left + margin_right} px, got {width}")
 
-    all_scores = np.concatenate(
-        [expl.curves[j].scores for j in rows] + [[expl.score, expl.threshold]]
-    )
+    all_scores = np.concatenate([expl.sweep[list(rows)].ravel(), [expl.score, expl.threshold]])
     lo = float(all_scores.min())
     hi = float(all_scores.max())
     pad = (hi - lo) * 0.05 or 0.5
@@ -126,17 +126,17 @@ def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int =
         f'stroke-dasharray="6,4"/>'
     )
 
+    levels = expl.levels.tolist()
     for pos, j in enumerate(rows):
         cy = margin_top + row_height * (pos + 0.5)
         out.append(
             f'<text x="{margin_left - 8}" y="{_fmt(cy + 3.5)}" font-family="sans-serif" '
             f'font-size="11" text-anchor="end">{_esc(expl.feature_names[j])}</text>'
         )
-        curve = expl.curves[j]
-        for lv, sc in zip(curve.levels, curve.scores):
+        for lv, sc in zip(levels, expl.sweep[j].tolist()):
             out.append(
-                f'<circle class="pt" cx="{_fmt(sx(float(sc)))}" cy="{_fmt(cy)}" r="4" '
-                f'fill="{_level_color(float(lv))}" fill-opacity="0.75"/>'
+                f'<circle class="pt" cx="{_fmt(sx(sc))}" cy="{_fmt(cy)}" r="4" '
+                f'fill="{_level_color(lv)}" fill-opacity="0.75"/>'
             )
         out.append(
             f'<circle class="pt-x" cx="{_fmt(score_x)}" cy="{_fmt(cy)}" r="8" '
@@ -163,6 +163,12 @@ def render_rank_bars(hist: RankHistogram, width: int = 760, height: int = 420) -
     margin_left, margin_right, margin_top, margin_bottom = 56, 20, 40, 46
     plot_w = width - margin_left - margin_right - legend_w
     plot_h = height - margin_top - margin_bottom
+    if plot_w <= 0:
+        raise ValueError(
+            f"width must exceed {margin_left + margin_right + legend_w} px, got {width}"
+        )
+    if plot_h <= 0:
+        raise ValueError(f"height must exceed {margin_top + margin_bottom} px, got {height}")
     slot = plot_w / n_pos
     bar_w = slot * 0.62
 

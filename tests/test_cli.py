@@ -298,6 +298,35 @@ def test_usage_error_bad_weights(workspace, tmp_path):
                   "--out", str(tmp_path / "e.json")) == 1
 
 
+@pytest.mark.parametrize("command, weights", [
+    ("explain", "0.3,0.3,0.4,nan"),
+    ("overall", "nan,nan,nan,nan"),
+    ("explain", "inf,0,0,0"),
+])
+def test_usage_error_non_finite_weights(workspace, tmp_path, capsys, command, weights):
+    tmp, data, model = workspace
+    row = ["--row", "0"] if command == "explain" else []
+    out = tmp_path / "out.json"
+    assert invoke(command, "--model", str(model), "--input", str(data), "--has-labels",
+                  *row, "--weights", weights, "--out", str(out)) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("explain", ["--top-k", "0"]),
+    ("explain", ["--width", "10"]),
+    ("overall", ["--width", "100", "--height", "20"]),
+])
+def test_usage_error_bad_chart_flags_write_no_file(workspace, tmp_path, command, flags):
+    tmp, data, model = workspace
+    row = ["--row", "0"] if command == "explain" else []
+    out, svg = tmp_path / "out.json", tmp_path / "chart.svg"
+    assert invoke(command, "--model", str(model), "--input", str(data), "--has-labels",
+                  *row, "--out", str(out), "--svg", str(svg), *flags) == 1
+    assert not out.exists() and not svg.exists()
+
+
 def test_inputs_never_mutated(workspace):
     tmp, data, model = workspace
     before = data.read_bytes()

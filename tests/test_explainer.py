@@ -49,6 +49,15 @@ def test_validate_weights_rejects_negative():
         validate_weights((-0.1, 0.5, 0.3, 0.3))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_validate_weights_rejects_non_finite(bad):
+    # NaN fails every comparison, so it slipped past the sign and sum checks
+    with pytest.raises(ValueError, match="finite"):
+        validate_weights((0.3, 0.3, 0.4, bad))
+    with pytest.raises(ValueError, match="finite"):
+        validate_weights((bad,) * 4)
+
+
 def test_validate_weights_rejects_wrong_arity():
     with pytest.raises(ValueError, match="4 weights"):
         validate_weights((1.0,))
@@ -60,19 +69,19 @@ def test_validate_weights_rejects_wrong_arity():
 def test_curve_constant_scorer_is_flat():
     grid = two_feature_grid()
     expl = explain(lambda X: np.full(len(X), 3.0), np.array([0.1, 0.2]), grid, Weights(), 0.5)
-    assert np.array_equal(expl.curves[0].scores, np.full(5, 3.0))
+    assert np.array_equal(expl.sweep[0], np.full(5, 3.0))
 
 
 def test_curve_identity_scorer_echoes_quantiles():
     grid = two_feature_grid()
     expl = explain(identity_first_feature, np.array([0.9, 0.4]), grid, Weights(), 0.5)
-    assert np.array_equal(expl.curves[0].scores, grid.values[0])
+    assert np.array_equal(expl.sweep[0], grid.values[0])
 
 
 def test_curve_irrelevant_feature_is_flat_at_point_score():
     grid = two_feature_grid()
     expl = explain(identity_first_feature, np.array([0.9, 0.4]), grid, Weights(), 0.5)
-    assert np.array_equal(expl.curves[1].scores, np.full(5, 0.9))
+    assert np.array_equal(expl.sweep[1], np.full(5, 0.9))
 
 
 def test_curve_does_not_mutate_point():
@@ -225,9 +234,7 @@ def test_explain_deterministic():
     b = explain(scorer, data.rows[3], grid, Weights(), 0.1)
     assert a.importance.tobytes() == b.importance.tobytes()
     assert a.ranking == b.ranking
-    assert all(
-        ca.scores.tobytes() == cb.scores.tobytes() for ca, cb in zip(a.curves, b.curves)
-    )
+    assert a.sweep.tobytes() == b.sweep.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +368,7 @@ def test_explain_self_consistency_on_grid_point():
     x = np.array([0.75, 0.4])
     expl = explain(identity_first_feature, x, grid, Weights(), 0.5)
     k = int(np.argmin(np.abs(grid.levels - expl.point_levels[0])))
-    assert expl.curves[0].scores[k] == expl.score
+    assert expl.sweep[0, k] == expl.score
 
 
 def test_explain_flip_soundness_direct_scan():
@@ -376,7 +383,7 @@ def test_explain_flip_soundness_direct_scan():
         expl = explain(scorer, x, grid, Weights(), tau)
         point_anom = expl.score > tau
         for j in range(d):
-            flips = [(s > tau) != point_anom for s in expl.curves[j].scores]
+            flips = [(s > tau) != point_anom for s in expl.sweep[j]]
             assert expl.metrics[j].class_change == (1.0 if any(flips) else 0.0)
 
 

@@ -4,7 +4,6 @@ import logging
 import numpy as np
 import pytest
 
-from anomex import shap_baseline
 from anomex.data import Dataset
 from anomex.errors import DataError
 from anomex.detectors import IsolationForest, Loda
@@ -172,13 +171,12 @@ def forest_workload():
 def test_forest_score_explains_like_any_scorer(forest_workload, coalitions, monkeypatch):
     data, forest = forest_workload
     bg = sample_background(data, 0.3, seed=1)
-    walks, chunks = [], []
+    walks = []
     own = IsolationForest._coalition_scorer
 
     def counting(self, *a):
-        walks.append(1)  # the background is walked once per scorer
-        score = own(self, *a)
-        return lambda masks: chunks.append(1) or score(masks)
+        walks.append(1)  # the background is walked once per call
+        return own(self, *a)
 
     monkeypatch.setattr(IsolationForest, "_coalition_scorer", counting)
     for i in (0, 3, 200):
@@ -187,16 +185,7 @@ def test_forest_score_explains_like_any_scorer(forest_workload, coalitions, monk
         assert direct.phi.tobytes() == wrapped.phi.tobytes()
         assert (direct.base_value, direct.score) == (wrapped.base_value, wrapped.score)
         assert direct.coalitions == wrapped.coalitions
-    assert len(walks) == len(chunks) == 3
-    # chunks of masks bounding the score matrix give the same values, and the
-    # background is still walked once per call
-    monkeypatch.setattr(shap_baseline, "_COALITION_CELLS", 7 * bg.n_rows)
-    chunked = kernel_shap(forest.score, data.rows[0], bg, coalitions, seed=0)
-    assert chunked.phi.tobytes() == kernel_shap(
-        lambda b: forest.score(b), data.rows[0], bg, coalitions, seed=0
-    ).phi.tobytes()
-    assert len(walks) == 4
-    assert len(chunks) == 3 + -(-(chunked.coalitions - 2) // 7) >= 3 + 2
+    assert len(walks) == 3
 
 
 def test_only_the_forests_own_score_takes_the_coalition_path(forest_workload, monkeypatch):

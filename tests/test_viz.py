@@ -85,6 +85,13 @@ def test_whatif_top_k_bounds():
         render_whatif(expl, top_k=4)
 
 
+def test_whatif_rejects_a_width_with_no_plot_area():
+    expl = small_explanation()
+    with pytest.raises(ValueError, match="width must exceed 180 px"):
+        render_whatif(expl, width=180)
+    assert render_whatif(expl, width=181).startswith("<?xml")
+
+
 # -- rank bar chart ------------------------------------------------------------
 
 
@@ -138,3 +145,15 @@ def test_rank_bars_legend_lists_every_feature():
     svg = render_rank_bars(hist)
     for name in ("alpha", "beta", "gamma"):
         assert f">{name}</text>" in svg
+
+
+@pytest.mark.parametrize("width, height, message", [
+    (226, 420, "width must exceed 226 px"),
+    (760, 86, "height must exceed 86 px"),
+    (100, 20, "width"),
+])
+def test_rank_bars_reject_a_size_with_no_plot_area(width, height, message):
+    hist = rank_histogram([(0, 1, 2), (1, 0, 2)], ("a", "b", "c"), 3)
+    with pytest.raises(ValueError, match=message):
+        render_rank_bars(hist, width=width, height=height)
+    assert "height=\"-" not in render_rank_bars(hist, width=227, height=87)
