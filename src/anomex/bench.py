@@ -1,10 +1,13 @@
 """Latency harness for single-explanation timing and scaling sweeps.
 
-Timed sections run single-threaded so contention noise stays out of the
-medians; a warm-up run is always performed and discarded, and the
-reported seconds are the median over at least three repeats. Results
-serialize to CSV (method, background_size, n, d, K, coalitions, seconds)
-and to a text table.
+A warm-up run is always performed and discarded, and the reported
+seconds are the median over at least three repeats. The quantile sweep
+runs on the calling thread alone. KernelSHAP on an Isolation Forest's
+own ``score`` scores its coalitions on every CPU the process may run on
+(see ``shap_baseline``), so a speedup of the sweep over that baseline
+understates the one against a serial KernelSHAP. Results serialize to
+CSV (method, background_size, n, d, K, coalitions, seconds) and to a
+text table.
 """
 
 from __future__ import annotations

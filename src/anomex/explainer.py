@@ -52,6 +52,12 @@ from anomex.detectors import bound_detector
 
 WEIGHT_SUM_TOLERANCE = 1e-9
 
+# Fields of LocalExplanation.metrics, one record per feature.
+_METRICS = np.dtype([
+    (name, np.float64)
+    for name in ("raw_delta", "ratio", "class_change", "change_distance", "delta")
+])
+
 
 @dataclass(frozen=True)
 class Weights:
@@ -195,6 +201,10 @@ def explain(
         + weights.change_distance * change_distance
         + weights.ratio * ratio
     )
+    metrics = np.empty(d, _METRICS)
+    columns = (raw_delta, ratio, class_change, change_distance, delta)
+    for name, column in zip(_METRICS.names, columns):
+        metrics[name] = column
     return LocalExplanation(
         point=x,
         score=score,
@@ -205,10 +215,7 @@ def explain(
         point_levels=point_levels,
         levels=grid.levels,
         sweep=sweep,
-        metrics=np.rec.fromarrays(
-            [raw_delta, ratio, class_change, change_distance, delta],
-            names="raw_delta,ratio,class_change,change_distance,delta",
-        ),
+        metrics=metrics.view(np.recarray),
         importance=importance,
         ranking=tuple(np.argsort(-importance, kind="stable").tolist()),
     )

@@ -14,23 +14,32 @@ result equal to brute-force Shapley values. Otherwise interior
 coalitions are sampled with probability proportional to the kernel mass
 of their size.
 
-A generic scorer is called once per coalition on all the hybrid rows.
-An Isolation Forest's own bound ``score`` is the one exception: it
-reaches the same values, bit for bit, through the path-local scorer
-behind the forest's ``score_coalitions``: it walks the background once,
-then scores one coalition at a time, walking a (row, tree) pair only
-when the hybrid row can leave both the background row's path and x's
-path. Any wrapper around it (a lambda, an evaluation counter, a tracer)
-and LODA keep one call per coalition. Either way the cost stays linear
-in the background size.
+A generic scorer is called once per coalition on all the hybrid rows,
+in mask order, on the calling thread. An Isolation Forest's own bound
+``score`` is the one exception: it reaches the same values, bit for bit,
+through the path-local scorer behind the forest's ``score_coalitions``:
+it walks the background once, then scores one coalition at a time,
+walking a (row, tree) pair only when the hybrid row can leave both the
+background row's path and x's path. Its coalitions are split into
+contiguous shares, one per CPU the process may run on, scored in
+parallel: the calling thread takes the first share and a worker thread
+each of the others. Every coalition's value is the same mean of the same
+scores whichever thread computes it, so the share count changes no bit
+of the result, and an error is the one the serial loop would raise. Any
+wrapper around the forest's ``score`` (a lambda, an evaluation counter,
+a tracer) and LODA keep the serial loop, since a user callable makes no
+thread-safety promise. Either way the cost stays linear in the
+background size.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +48,9 @@ from anomex.detectors import IsolationForest, bound_detector
 from anomex.errors import NumericError
 
 EXACT_ENUMERATION_MAX_D = 16
+# Largest coalition budget, unless the default for d is larger; it leaves
+# room for exact enumeration at d = 16.
+MAX_COALITIONS = 2**16
 RIDGE_DAMPING = 1e-8
 
 logger = logging.getLogger(__name__)
@@ -107,6 +119,9 @@ def kernel_shap(
         coalitions = default_coalitions(d)
     if coalitions < 2:
         raise ValueError(f"coalition budget must be >= 2, got {coalitions}")
+    limit = max(MAX_COALITIONS, default_coalitions(d))
+    if coalitions > limit:
+        raise ValueError(f"coalition budget must be <= {limit} at d={d}, got {coalitions}")
 
     bg = background.rows
     base_value = float(checked_scores(scorer(bg), len(bg), lambda b: f"background row {b}").mean())
@@ -131,35 +146,84 @@ def kernel_shap(
         # Sampling frequency already carries the kernel, so fit weights are flat.
         weights = np.ones(interior)
 
-    values = np.empty(len(masks))
-    for i, v in enumerate(_coalition_scores(scorer, x, bg, masks)):
-        values[i] = checked_scores(
-            v, len(bg), lambda b: f"coalition {i} on background row {b}"
-        ).mean()
-
+    values = _coalition_values(scorer, x, bg, masks)
     phi = _constrained_wls(masks, values, weights, base_value, score)
     n_evals = len(masks) + 2
     return ShapExplanation(base_value, phi, score, n_evals, len(bg))
 
 
-def _coalition_scores(
+def _coalition_values(
     scorer: Scorer, x: np.ndarray, bg: np.ndarray, masks: np.ndarray
-) -> Iterator[np.ndarray]:
-    """Background scores of each coalition's hybrid rows, in mask order.
+) -> np.ndarray:
+    """Mean background score of each coalition's hybrid rows, in mask order.
 
     A forest's own bound ``score`` evaluates them path-locally: it walks
-    the background once, then scores one mask at a time. Any other scorer
-    gets one call per coalition.
+    the background once, then scores the coalitions in shares, one per
+    CPU. Any other scorer gets one call per coalition, in mask order, on
+    the calling thread, since a user callable makes no thread-safety
+    promise.
     """
+    values = np.empty(len(masks))
+
+    def mean(i: int, scores: object) -> None:
+        values[i] = checked_scores(
+            scores, len(bg), lambda b: f"coalition {i} on background row {b}"
+        ).mean()
+
     forest = bound_detector(scorer)
     if isinstance(forest, IsolationForest):
-        yield from map(forest._coalition_scorer(x, bg), masks)
-        return
+        score = forest._coalition_scorer(x, bg)
+        _in_shares(lambda i: mean(i, score(masks[i])), len(masks))
+        return values
     hybrid = np.empty_like(bg)
-    for mask in masks:
+    for i, mask in enumerate(masks):
         hybrid[:] = bg
         hybrid[:, mask] = x[mask]
-        yield scorer(hybrid)
+        mean(i, scorer(hybrid))
+    return values
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_shares(task: Callable[[int], None], n: int) -> None:
+    """Run ``task(i)`` for i < n in contiguous shares, one per CPU.
+
+    The calling thread runs the first share and a worker thread each of
+    the others. When a task raises, the shares after it stop at their
+    next task, while those before it run on, since one of their tasks may
+    raise too. Once every worker has joined, the error of the lowest
+    failing index is raised: the one a serial loop would have raised.
+    """
+    shares = max(1, min(_cpu_count(), n))
+    bounds = [n * s // shares for s in range(shares + 1)]
+    failures: list[tuple[int, BaseException]] = []
+
+    def run(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            if any(j < i for j, _ in failures):
+                return
+            try:
+                task(i)
+            except BaseException as exc:  # re-raised below if no lower index failed
+                failures.append((i, exc))
+                return
+
+    workers = [threading.Thread(target=run, args=bounds[s : s + 2]) for s in range(1, shares)]
+    try:
+        for worker in workers:
+            worker.start()
+        run(bounds[0], bounds[1])
+    finally:
+        for worker in workers:
+            if worker.is_alive():
+                worker.join()
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
 
 
 def _constrained_wls(

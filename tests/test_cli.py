@@ -327,6 +327,18 @@ def test_usage_error_bad_chart_flags_write_no_file(workspace, tmp_path, command,
     assert not out.exists() and not svg.exists()
 
 
+@pytest.mark.parametrize("coalitions", ["65537", "1000000000000"])
+def test_usage_error_coalition_budget_too_large(workspace, tmp_path, capsys, coalitions):
+    # d=6: the bound is MAX_COALITIONS; 10**12 used to end in a MemoryError traceback
+    tmp, data, model = workspace
+    out = tmp_path / "shap.json"
+    assert invoke("shap", "--model", str(model), "--input", str(data), "--has-labels",
+                  "--row", "0", "--coalitions", coalitions, "--seed", "3",
+                  "--out", str(out)) == 1
+    assert "usage error: coalition budget must be <= 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inputs_never_mutated(workspace):
     tmp, data, model = workspace
     before = data.read_bytes()

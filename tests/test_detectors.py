@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from anomex.data import build_quantile_grid, fit_threshold
 from anomex.detectors import (
     _BLOCK_ROWS,
+    _COALITION_BLOCK_ROWS,
     MAX_SUBSAMPLE,
     IsolationForest,
     Loda,
@@ -261,12 +262,12 @@ def test_score_coalitions_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, v
 def test_score_coalitions_spans_blocks(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=2)
     rng = np.random.default_rng(6)
-    background = rng.normal(size=(_BLOCK_ROWS + 5, 4))
+    background = rng.normal(size=(_COALITION_BLOCK_ROWS + 5, 4))
     x = gaussian_data.rows[int(np.argmax(model.score(gaussian_data.rows)))]
     masks = np.array([[True, False, False, True], [False, True, True, False]])
     expected = model.score(hybrid_rows(x, background, masks)).reshape(2, -1)
     assert np.array_equal(model.score_coalitions(x, background, masks), expected)
-    assert model.score_coalitions(x, background, masks[:0]).shape == (0, _BLOCK_ROWS + 5)
+    assert model.score_coalitions(x, background, masks[:0]).shape == (0, _COALITION_BLOCK_ROWS + 5)
     assert model.score_coalitions(x, background[:0], masks).shape == (2, 0)
 
 

@@ -237,6 +237,17 @@ def test_explain_deterministic():
     assert a.sweep.tobytes() == b.sweep.tobytes()
 
 
+def test_metrics_is_the_record_array_of_its_columns():
+    rng = np.random.default_rng(4)
+    data = make_dataset(rng.normal(size=(50, 4)))
+    expl = explain(random_scorer(rng, 4), data.rows[3], build_quantile_grid(data, 11), Weights(), 0.1)
+    names = ("raw_delta", "ratio", "class_change", "change_distance", "delta")
+    ref = np.rec.fromarrays([expl.metrics[n] for n in names], names=",".join(names))
+    assert type(expl.metrics) is np.recarray and expl.metrics.dtype == ref.dtype
+    assert expl.metrics.tobytes() == ref.tobytes()
+    assert [m.delta for m in expl.metrics] == ref.delta.tolist()
+
+
 @pytest.fixture(scope="module")
 def fitted_detectors():
     rng = np.random.default_rng(21)

@@ -1,5 +1,7 @@
 import itertools
 import logging
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from anomex.data import Dataset
 from anomex.errors import DataError
 from anomex.detectors import IsolationForest, Loda
+from anomex import shap_baseline
 from anomex.shap_baseline import (
+    MAX_COALITIONS,
     _enumerated_coalitions,
     _shapley_kernel,
     default_coalitions,
@@ -147,6 +151,20 @@ def test_rejects_bad_inputs():
         kernel_shap(lambda X: X.sum(axis=1), np.zeros(2), bg, coalitions=1)
 
 
+def test_coalition_budget_is_capped_before_any_scoring():
+    def never(X):
+        raise AssertionError("scored despite a rejected budget")
+
+    bg = make_dataset(np.zeros((3, 50)))
+    assert max(MAX_COALITIONS, default_coalitions(50)) == MAX_COALITIONS
+    for budget in (MAX_COALITIONS + 1, 10**12):
+        with pytest.raises(ValueError, match=f"coalition budget must be <= {MAX_COALITIONS}"):
+            kernel_shap(never, np.zeros(50), bg, coalitions=budget)
+    # the bound itself is a valid budget (exact enumeration at d=2)
+    bg2 = make_dataset(np.zeros((3, 2)))
+    assert kernel_shap(lambda X: X.sum(axis=1), np.ones(2), bg2, MAX_COALITIONS).coalitions == 4
+
+
 def test_enumerated_coalitions_match_the_per_coalition_loop():
     for d in range(2, 13):
         masks, weights = _enumerated_coalitions(d)
@@ -201,6 +219,74 @@ def test_only_the_forests_own_score_takes_the_coalition_path(forest_workload, mo
     loda = Loda.fit(data, projections=10, bins=10, seed=0)
     assert kernel_shap(loda.score, data.rows[0], bg, 40, seed=0).coalitions == 40
     assert kernel_shap(lambda b: forest.score(b), data.rows[0], bg, 40, seed=0).coalitions == 40
+
+
+def test_share_count_changes_no_result(forest_workload, monkeypatch):
+    data, forest = forest_workload
+    bg = sample_background(data, 0.3, seed=1)
+    own = IsolationForest._coalition_scorer
+    threads = []
+
+    def recording(self, *a):
+        score = own(self, *a)
+
+        def traced(mask):
+            threads.append(threading.current_thread())
+            return score(mask)
+
+        return traced
+
+    monkeypatch.setattr(IsolationForest, "_coalition_scorer", recording)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for count in (1, 2, 3, 8):
+            monkeypatch.setattr(shap_baseline, "_cpu_count", lambda: count)
+            # no mask, 6 sampled masks, 48 sampled masks, 62 enumerated masks (d=6)
+            for coalitions in (2, 8, 50, 2**6):
+                del threads[:]
+                expl = kernel_shap(forest.score, data.rows[3], bg, coalitions, seed=5)
+                assert len(set(threads)) == min(count, coalitions - 2)
+                results.setdefault(coalitions, []).append(
+                    (expl.phi.tobytes(), expl.base_value, expl.score, expl.coalitions)
+                )
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in results.values():
+        assert all(r == runs[0] for r in runs)
+
+
+@pytest.mark.parametrize("count", [2, 3, 8])
+def test_a_failing_share_raises_the_lowest_coalitions_error(forest_workload, monkeypatch, count):
+    data, forest = forest_workload
+    bg = sample_background(data, 0.3, seed=1)
+    own = IsolationForest._coalition_scorer
+    last_failed = threading.Event()
+    last = 2**6 - 3  # exact enumeration at d=6: coalition i is the mask of i + 1
+
+    def failing(self, *a):
+        score = own(self, *a)
+
+        def fail(mask):
+            i = int(mask @ (1 << np.arange(mask.size))) - 1
+            if i == 0:  # share 0 goes on only after the last share has failed
+                assert last_failed.wait(timeout=30)
+            if i == 1:
+                raise RuntimeError("coalition 1 failed")
+            if i == last:
+                last_failed.set()
+                raise RuntimeError(f"coalition {last} failed")
+            return score(mask)
+
+        return fail
+
+    monkeypatch.setattr(IsolationForest, "_coalition_scorer", failing)
+    monkeypatch.setattr(shap_baseline, "_cpu_count", lambda: count)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="^coalition 1 failed$"):
+        kernel_shap(forest.score, data.rows[3], bg, 2**6, seed=5)
+    assert threading.active_count() == before
 
 
 def test_forest_path_keeps_the_scorer_input_checks(forest_workload):
