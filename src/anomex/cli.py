@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -36,6 +37,8 @@ from anomex.synth import SynthSpec, generate
 from anomex.viz import render_rank_bars, render_whatif
 
 SEED_ENV_VAR = "ANOMEX_SEED"
+
+logger = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
@@ -220,6 +223,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
     if svg:
         _write_text(args.svg, svg)
+    if not expl.metrics.class_change.any():
+        logger.warning(
+            "row %d: no feature's sweep changes the classification (C = 0 for every "
+            "feature), so Q carries no information for this row",
+            args.row,
+        )
     top = expl.feature_names[expl.ranking[0]]
     print(
         f"row {args.row}: score={expl.score:.6g} ({expl.classification.value}), "

@@ -258,7 +258,12 @@ class IsolationForest:
         (feature, tree) pair all values between two consecutive split
         thresholds of that tree on that feature reach one leaf: each row
         of values is sorted once, the pair's thresholds cut it into runs,
-        and one row per run is walked.
+        and one walker per run reads the run's first value. Within a
+        feature, a new distinct row starts at the first value and wherever
+        a run of any of its pairs starts; between two such starts every
+        tree reaches the same leaf. Only the distinct rows are built and
+        scored, and each score is copied to every value of its row; a
+        feature on no tree's path for x is one row, scored as x itself.
         """
         point, values = _sweep_input(
             x, values, self.feature_names, "IsolationForest.score_sweep"
@@ -277,9 +282,7 @@ class IsolationForest:
         per_block = max(1, _BLOCK_ROWS // k)
         for a in range(0, d, per_block):
             n = min(per_block, d - a)
-            batch = np.tile(point, (n * k, 1))
-            swept = np.arange(a, a + n)[:, None]
-            batch.reshape(n, k, d)[swept - a, np.arange(k), swept] = ranked[a : a + n]
+            swept = ranked[a : a + n]
             # the block's on-path pairs, numbered (j - a) * n_trees + tree, and
             # the split thresholds of each
             block = on_path[a : a + n].ravel()
@@ -290,21 +293,33 @@ class IsolationForest:
             pair, threshold = pair[mine], self._split_threshold[lo:hi][mine]
             # Cell (pair, slot) is numbered pair * k + slot. A run starts at slot
             # 0 of every pair and at the slot of each of its thresholds, the
-            # first k with ranked[j, k] >= threshold (>= goes right); a slot of
+            # first k with swept[j, k] >= threshold (>= goes right); a slot of
             # k starts none. A run ends where the next starts or its pair ends.
-            row = ranked[a : a + n].take(pair // n_trees, axis=0)
-            slot = (row < threshold[:, None]).sum(axis=1)
+            slot = (swept.take(pair // n_trees, axis=0) < threshold[:, None]).sum(axis=1)
             start = np.sort(np.concatenate([pairs * k, (pair * k + slot)[slot < k]]))
             start = start[np.diff(start, prepend=-1) != 0]
             run_pair, run_slot = np.divmod(start, k)
             length = np.minimum(np.append(start[1:], block.size * k), (run_pair + 1) * k) - start
             feat, tree = np.divmod(run_pair, n_trees)
-            h_run = self._walk(batch.ravel(), (feat * k + run_slot) * d, self._roots[tree])
-            feat, tree = np.divmod(pairs, n_trees)
-            cells = (feat[:, None] * k + np.arange(k)) * n_trees + tree[:, None]
-            h = np.tile(h_x, (n * k, 1))
-            h.reshape(-1)[cells.ravel()] = np.repeat(h_run, length)
-            scores[a : a + n] = self._score_of(h).reshape(n, k)
+            # Value (j - a, slot) of the sweep is numbered (j - a) * k + slot. A
+            # distinct row starts at slot 0 of every feature, whether or not any
+            # tree splits on it, and at the first value of every run.
+            value = feat * k + run_slot
+            fresh = np.zeros(n * k, dtype=bool)
+            fresh[::k] = True
+            fresh[value] = True
+            distinct = np.cumsum(fresh) - 1  # each value's distinct row
+            first = np.flatnonzero(fresh)  # each distinct row's first value
+            batch = np.tile(point, (first.size, 1))
+            batch[np.arange(first.size), a + first // k] = swept.ravel()[first]
+            row = distinct[value]
+            h_run = self._walk(batch.ravel(), row * d, self._roots[tree])
+            # a run holds its tree's cell of distinct rows row .. row + span - 1
+            span = distinct[value + length - 1] + 1 - row
+            cells = np.repeat((row - np.cumsum(span) + span) * n_trees + tree, span)
+            h = np.tile(h_x, (first.size, 1))
+            h.reshape(-1)[cells + np.arange(cells.size) * n_trees] = np.repeat(h_run, span)
+            scores[a : a + n] = self._score_of(h)[distinct].reshape(n, k)
         out = np.empty((d, k))
         np.put_along_axis(out, order, scores, axis=1)
         return out

@@ -27,7 +27,9 @@ the one exception: it reaches the same scores, bit for bit, through the
 detector's ``score_sweep``, which recomputes only what the swept feature
 can change. A forest walks only the trees whose path for x splits on it,
 and in each such tree one value per interval between that tree's split
-thresholds on the feature. LODA recomputes only the projections with a
+thresholds on the feature; it then scores each distinct swept row once,
+since every value between two interval starts of the feature reaches
+the same leaf in every tree. LODA recomputes only the projections with a
 nonzero weight on it. Any wrapper around it (a lambda, an evaluation
 counter, a tracer) takes the generic path and sees all d*K + 1
 evaluations. Every scorer output is checked for one finite score

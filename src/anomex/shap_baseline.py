@@ -107,8 +107,9 @@ def kernel_shap(
         scorer: batch scoring function.
         x: point to explain, shape (d,).
         background: dataset defining the masked-feature expectation.
-        coalitions: evaluation budget; defaults to 2d + 2048. Budgets of
-            at least 2^d (d <= 16) switch to exact enumeration.
+        coalitions: evaluation budget, at least d + 1; defaults to
+            2d + 2048. Budgets of at least 2^d (d <= 16) switch to exact
+            enumeration.
         seed: RNG seed for coalition sampling.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -117,8 +118,12 @@ def kernel_shap(
         raise ValueError(f"point has {x.size} features but background has {d}")
     if coalitions is None:
         coalitions = default_coalitions(d)
-    if coalitions < 2:
-        raise ValueError(f"coalition budget must be >= 2, got {coalitions}")
+    # below d - 1 sampled coalitions the regression over the d - 1 free
+    # attributions is underdetermined, and the ridge fallback would pick one
+    if coalitions < d + 1:
+        raise ValueError(
+            f"coalition budget must be >= d + 1 = {d + 1} at d={d}, got {coalitions}"
+        )
     limit = max(MAX_COALITIONS, default_coalitions(d))
     if coalitions > limit:
         raise ValueError(f"coalition budget must be <= {limit} at d={d}, got {coalitions}")

@@ -1,5 +1,10 @@
 import csv
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,6 +100,52 @@ def test_explain_uses_default_weights_and_writes_svg(workspace):
     assert doc["weights"] == {"D": 0.3, "C": 0.3, "Q": 0.2, "R": 0.2}
     assert len(doc["features"][0]["curve"]) == 31
     assert svg.exists()
+
+
+NO_FLIP = "no feature's sweep changes the classification"
+
+
+def test_explain_warns_when_no_feature_can_flip_the_class(workspace, caplog):
+    # in this workspace no single feature of row 2 can reach the anomalous
+    # side, while one of row 3 can
+    tmp, data, model = workspace
+    docs = {}
+    for row in (2, 3):
+        caplog.clear()
+        out = tmp / f"expl{row}.json"
+        with caplog.at_level(logging.WARNING, logger="anomex.cli"):
+            assert invoke("explain", "--model", str(model), "--input", str(data),
+                          "--has-labels", "--row", str(row), "--out", str(out)) == 0
+        docs[row] = json.loads(out.read_text())
+        warned = [r.getMessage() for r in caplog.records if NO_FLIP in r.getMessage()]
+        metrics = [f["metrics"] for f in docs[row]["features"]]
+        if row == 2:
+            assert all(m["C"] == 0.0 and m["Q"] == 0.0 for m in metrics)
+            assert warned == [
+                "row 2: no feature's sweep changes the classification (C = 0 for every "
+                "feature), so Q carries no information for this row"
+            ]
+        else:
+            assert any(m["C"] == 1.0 for m in metrics)
+            assert warned == []
+    # the warning stays out of the artifact
+    assert docs[2].keys() == docs[3].keys()
+    assert NO_FLIP not in json.dumps(docs[2])
+
+
+def test_explain_no_flip_warning_reaches_stderr(workspace):
+    tmp, data, model = workspace
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "anomex.cli", "explain", "--model", str(model), "--input",
+         str(data), "--has-labels", "--row", "2", "--out", str(tmp / "e.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count(NO_FLIP) == 1
+    assert NO_FLIP not in proc.stdout
 
 
 def test_explain_idempotent_bytes(workspace):
@@ -336,6 +387,19 @@ def test_usage_error_coalition_budget_too_large(workspace, tmp_path, capsys, coa
                   "--row", "0", "--coalitions", coalitions, "--seed", "3",
                   "--out", str(out)) == 1
     assert "usage error: coalition budget must be <= 65536" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("coalitions", ["2", "6"])
+def test_usage_error_coalition_budget_below_d_plus_one(workspace, tmp_path, capsys, coalitions):
+    # d=6: 2 used to exit 0 with the whole score gap on one feature
+    tmp, data, model = workspace
+    out = tmp_path / "shap.json"
+    assert invoke("shap", "--model", str(model), "--input", str(data), "--has-labels",
+                  "--row", "0", "--coalitions", coalitions, "--seed", "3",
+                  "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: coalition budget must be >= d + 1 = 7 at d=6, got {coalitions}" in err
     assert not out.exists()
 
 

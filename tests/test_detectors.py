@@ -131,6 +131,9 @@ def swept_batch(x, values):
 @example(d=1, k=2, n=2, trees=1, constant=[False] * 4, only_thresholds=False, seed=0)
 @example(d=3, k=2, n=10, trees=4, constant=[True] * 4, only_thresholds=False, seed=1)  # all leaves
 @example(d=3, k=6, n=20, trees=4, constant=[False] * 4, only_thresholds=True, seed=2)
+# no tree splits on the constant f1, so it is on no tree's path for x
+@example(d=3, k=5, n=20, trees=4, constant=[False, True, False, False], only_thresholds=False,
+         seed=3)
 def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, only_thresholds, seed):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n, d))
@@ -196,6 +199,57 @@ def test_score_sweep_walks_one_row_per_threshold_interval(monkeypatch):
     assert pairs <= sum(walked) <= bound < pairs * 51
     monkeypatch.undo()
     assert np.array_equal(sweep, model.score(swept_batch(x, grid.values)).reshape(20, 51))
+
+
+def leaves(model, batch):
+    """Each row's leaf in each tree, (rows, n_trees), by walking the saved trees."""
+    out = np.empty((len(batch), model.n_trees), dtype=np.int64)
+    for t, tree in enumerate(model.to_dict()["trees"]):
+        feature, threshold, child = tree["feature"], tree["threshold"], tree["child"]
+        for i, row in enumerate(batch):
+            node = 0
+            while child[node] != -1:
+                node = child[node] + (row[feature[node]] >= threshold[node])
+            out[i, t] = node
+    return out
+
+
+def test_score_sweep_scores_each_distinct_row_once(monkeypatch):
+    # Within a feature, every tree reaches the same leaf between two run starts
+    # of the feature's on-path pairs, so only the values at slot 0 and at those
+    # starts are scored; they are at least the feature's distinct leaf rows.
+    rng = np.random.default_rng(11)
+    data = make_dataset(rng.normal(size=(500, 20)))
+    model = IsolationForest.fit(data, trees=20, subsample=64, seed=3)
+    values = build_quantile_grid(data, 51).values
+    x = data.rows[int(np.argmax(model.score(data.rows)))]
+    d, k = values.shape
+    leaf = leaves(model, swept_batch(x, values)).reshape(d, k, -1)
+    distinct = sum(len(np.unique(leaf[j], axis=0)) for j in range(d))
+    starts = [{0} for _ in range(d)]
+    for tree in model.to_dict()["trees"]:
+        feature, threshold, child = tree["feature"], tree["threshold"], tree["child"]
+        node, on_path = 0, set()
+        while child[node] != -1:
+            on_path.add(feature[node])
+            node = child[node] + (x[feature[node]] >= threshold[node])
+        for f, t, c in zip(feature, threshold, child):
+            slot = int(np.sum(values[f] < t))
+            if c != -1 and f in on_path and slot < k:
+                starts[f].add(slot)
+    bound = sum(map(len, starts))
+    scored = []
+    score_of = IsolationForest._score_of
+
+    def counting(self, h):
+        scored.append(len(h))
+        return score_of(self, h)
+
+    monkeypatch.setattr(IsolationForest, "_score_of", counting)
+    sweep = model.score_sweep(x, values)
+    assert distinct <= sum(scored) <= bound < d * k
+    monkeypatch.undo()
+    assert np.array_equal(sweep, model.score(swept_batch(x, values)).reshape(d, k))
 
 
 def test_score_sweep_rejects_bad_input(gaussian_data):

@@ -147,8 +147,17 @@ def test_rejects_bad_inputs():
     bg = make_dataset(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         kernel_shap(lambda X: X.sum(axis=1), np.zeros(3), bg)
-    with pytest.raises(ValueError):
-        kernel_shap(lambda X: X.sum(axis=1), np.zeros(2), bg, coalitions=1)
+
+    def never(X):
+        raise AssertionError("scored despite a rejected budget")
+
+    # below d - 1 sampled coalitions the regression is underdetermined: at
+    # d = 50 a budget of 2 used to hand the whole score gap to one feature
+    for d in (1, 2, 6, 50):
+        bg = make_dataset(np.zeros((3, d)))
+        for budget in (0, d):
+            with pytest.raises(ValueError, match=rf"must be >= d \+ 1 = {d + 1} at d={d}, got"):
+                kernel_shap(never, np.zeros(d), bg, coalitions=budget)
 
 
 def test_coalition_budget_is_capped_before_any_scoring():
@@ -243,8 +252,9 @@ def test_share_count_changes_no_result(forest_workload, monkeypatch):
     try:
         for count in (1, 2, 3, 8):
             monkeypatch.setattr(shap_baseline, "_cpu_count", lambda: count)
-            # no mask, 6 sampled masks, 48 sampled masks, 62 enumerated masks (d=6)
-            for coalitions in (2, 8, 50, 2**6):
+            # the smallest budget d + 1 (5 sampled masks), 6 and 48 sampled
+            # masks, 62 enumerated masks (d=6)
+            for coalitions in (7, 8, 50, 2**6):
                 del threads[:]
                 expl = kernel_shap(forest.score, data.rows[3], bg, coalitions, seed=5)
                 assert len(set(threads)) == min(count, coalitions - 2)
@@ -325,12 +335,13 @@ def test_document_shape():
 
 
 def test_singular_regression_logs_the_ridge_fallback(caplog):
-    # d = 3 with a single sampled coalition: the 2x2 normal system has rank 1
+    # d = 3 at the smallest budget, d + 1: seed 11 samples the coalition {f1}
+    # twice, so the 2x2 normal system has rank 1
     rng = np.random.default_rng(0)
     bg = make_dataset(rng.normal(size=(20, 3)))
     x = np.array([1.0, -2.0, 0.5])
     with caplog.at_level(logging.WARNING, logger="anomex.shap_baseline"):
-        expl = kernel_shap(lambda X: X @ np.array([1.0, 2.0, 3.0]), x, bg, coalitions=3, seed=0)
+        expl = kernel_shap(lambda X: X @ np.array([1.0, 2.0, 3.0]), x, bg, coalitions=4, seed=11)
     assert [r.getMessage() for r in caplog.records] == [
         "singular coalition regression; refitting with ridge damping"
     ]
