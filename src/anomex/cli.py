@@ -335,13 +335,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
-    try:
-        spec = SynthSpec(
-            n_normal=args.n, n_anomalies=args.anomalies, d=args.dims,
-            root_feature=args.root, shift=args.shift, seed=seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = SynthSpec(
+        n_normal=args.n, n_anomalies=args.anomalies, d=args.dims,
+        root_feature=args.root, shift=args.shift, seed=seed,
+    )
     data = generate(spec)
     save_csv(data, args.out)
     print(f"wrote {data.n_rows} rows x {data.n_features} features to {args.out}")
@@ -367,10 +364,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"anomex: usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"anomex: usage error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

@@ -324,44 +324,24 @@ class IsolationForest:
         np.put_along_axis(out, order, scores, axis=1)
         return out
 
-    def score_coalitions(
-        self, x: np.ndarray, background: np.ndarray, masks: np.ndarray
-    ) -> np.ndarray:
-        """Scores of the background rows with each coalition's features taken from x.
-
-        Entry [i, b] equals ``score`` of background row b with the features
-        in ``masks[i]`` set to x's values, bit for bit. In one tree such a
-        hybrid row reaches b's leaf unless b's path splits on a coalition
-        feature where x and b go different ways, and x's leaf unless x's
-        path splits on a feature outside the coalition where they do. Those
-        features are recorded once per (row, tree) as bitmasks; only the
-        pairs that pass neither test are walked.
-        """
-        masks = np.asarray(masks)
-        d = len(self.feature_names)
-        if masks.dtype != bool or masks.ndim != 2 or masks.shape[1] != d:
-            raise ModelError(
-                f"coalition masks must be a boolean (n, {d}) array, "
-                f"got {masks.dtype} of shape {masks.shape}"
-            )
-        score = self._coalition_scorer(x, background)
-        out = np.empty((len(masks), len(np.atleast_2d(background))))
-        for i, mask in enumerate(masks):
-            out[i] = score(mask)
-        return out
-
     def _coalition_scorer(
         self, x: np.ndarray, background: np.ndarray
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """``score_coalitions`` of x and the background for one boolean (d,) mask.
+        """Scores of the background rows with one coalition's features taken from x.
 
-        The background is walked here, once: every call of the returned
-        function reuses its leaves and bitmasks, which take n_bg * n_trees
-        * (8 + 16 * ceil(d / 64)) bytes, and returns the (n_bg,) scores.
-        The function only reads them, so several threads may call it at
-        once.
+        The returned function maps a boolean (d,) mask to (n_bg,) scores:
+        entry b equals ``score`` of background row b with the features in
+        the mask set to x's values, bit for bit. In one tree such a hybrid
+        row reaches b's leaf unless b's path splits on a coalition feature
+        where x and b go different ways, and x's leaf unless x's path splits
+        on a feature outside the coalition where they do. Those features are
+        recorded once per (row, tree) as bitmasks; only the pairs that pass
+        neither test are walked. The background is walked here, once: every
+        call reuses its leaves and bitmasks, which take n_bg * n_trees * (8 +
+        16 * ceil(d / 64)) bytes, and only reads them, so several threads may
+        call it at once.
         """
-        what = "IsolationForest.score_coalitions"
+        what = "IsolationForest._coalition_scorer"
         point = _one_point(x, self.feature_names, what)
         bg = _as_batch(background, self.feature_names, what)
         d = point.size

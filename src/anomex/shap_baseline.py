@@ -8,19 +8,19 @@ ties the cost to the background size). The empty and full coalitions are
 enforced as constraints, so phi0 + sum(phi) always equals the score of x
 up to solver precision.
 
-For d <= 16 with a coalition budget of at least 2^d, all coalitions are
-enumerated and weighted by the exact Shapley kernel, which makes the
-result equal to brute-force Shapley values. Otherwise interior
-coalitions are sampled with probability proportional to the kernel mass
-of their size.
+With a coalition budget of at least 2^d, all coalitions are enumerated
+and weighted by the exact Shapley kernel, which makes the result equal
+to brute-force Shapley values; the budget cap allows that up to d = 16.
+Otherwise interior coalitions are sampled with probability proportional
+to the kernel mass of their size.
 
 A generic scorer is called once per coalition on all the hybrid rows,
 in mask order, on the calling thread. An Isolation Forest's own bound
 ``score`` is the one exception: it reaches the same values, bit for bit,
-through the path-local scorer behind the forest's ``score_coalitions``:
-it walks the background once, then scores one coalition at a time,
-walking a (row, tree) pair only when the hybrid row can leave both the
-background row's path and x's path. Its coalitions are split into
+through the forest's path-local ``_coalition_scorer``: it walks the
+background once, then scores one coalition at a time, walking a (row,
+tree) pair only when the hybrid row can leave both the background row's
+path and x's path. Its coalitions are split into
 contiguous shares, one per CPU the process may run on, scored in
 parallel: the calling thread takes the first share and a worker thread
 each of the others. Every coalition's value is the same mean of the same
@@ -43,11 +43,10 @@ from typing import Callable
 
 import numpy as np
 
-from anomex.data import Dataset, Scorer, checked_scores
+from anomex.data import Dataset, Scorer, checked_scores, classify
 from anomex.detectors import IsolationForest, bound_detector
 from anomex.errors import NumericError
 
-EXACT_ENUMERATION_MAX_D = 16
 # Largest coalition budget, unless the default for d is larger; it leaves
 # room for exact enumeration at d = 16.
 MAX_COALITIONS = 2**16
@@ -108,8 +107,7 @@ def kernel_shap(
         x: point to explain, shape (d,).
         background: dataset defining the masked-feature expectation.
         coalitions: evaluation budget, at least d + 1; defaults to
-            2d + 2048. Budgets of at least 2^d (d <= 16) switch to exact
-            enumeration.
+            2d + 2048. Budgets of at least 2^d switch to exact enumeration.
         seed: RNG seed for coalition sampling.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
@@ -132,12 +130,7 @@ def kernel_shap(
     base_value = float(checked_scores(scorer(bg), len(bg), lambda b: f"background row {b}").mean())
     score = float(checked_scores(scorer(x[None, :]), 1, lambda _: "the explained point")[0])
 
-    if d == 1:
-        # Constraint alone determines the single attribution.
-        return ShapExplanation(base_value, np.asarray([score - base_value]), score, 2, len(bg))
-
-    exact = d <= EXACT_ENUMERATION_MAX_D and coalitions >= 2**d
-    if exact:
+    if coalitions >= 2**d:
         masks, weights = _enumerated_coalitions(d)
     else:
         rng = np.random.default_rng(seed)
@@ -290,5 +283,5 @@ def shap_to_dict(
     }
     if threshold is not None:
         doc["threshold"] = threshold
-        doc["classification"] = "anomalous" if expl.score > threshold else "normal"
+        doc["classification"] = classify(expl.score, threshold).value
     return doc

@@ -244,6 +244,14 @@ def test_usage_error_missing_seed(tmp_path, monkeypatch):
                   "--root", "0", "--shift", "1", "--out", str(tmp_path / "x.csv")) == 1
 
 
+def test_usage_error_invalid_synth_spec(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert invoke("synth", "--n", "10", "--anomalies", "2", "--dims", "3", "--root", "3",
+                  "--shift", "1", "--seed", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == "anomex: usage error: root_feature 3 out of range [0, 3)\n"
+    assert not out.exists()
+
+
 def test_seed_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "17")
     out_env = tmp_path / "env.csv"

@@ -268,8 +268,14 @@ def test_score_sweep_rejects_bad_input(gaussian_data):
 
 
 def hybrid_rows(x, background, masks):
-    """The (n_masks * n_bg, d) rows score_coalitions stands for: masked features from x."""
+    """The (n_masks * n_bg, d) rows a coalition scorer stands for: masked features from x."""
     return np.concatenate([np.where(mask, x, background) for mask in masks])
+
+
+def coalition_scores(model, x, background, masks):
+    """The forest's coalition scorer stacked over the masks: (n_masks, n_bg)."""
+    score = model._coalition_scorer(x, background)
+    return np.array([score(mask) for mask in masks]).reshape(len(masks), len(background))
 
 
 # features either side of the 64-bit word boundaries of a coalition bitmask
@@ -288,7 +294,7 @@ _WORD_EDGES = (0, 62, 63, 64, 65, 127, 128, 129)
 @example(d=1, n_bg=1, n_masks=0, trees=1, varying="all", seed=0)
 @example(d=130, n_bg=1, n_masks=3, trees=8, varying="word edges", seed=1)
 @example(d=64, n_bg=3, n_masks=2, trees=4, varying="none", seed=2)  # every tree a single leaf
-def test_score_coalitions_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, varying, seed):
+def test_coalition_scorer_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, varying, seed):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(40, d))
     if varying != "all":  # constant columns are never split on
@@ -310,36 +316,33 @@ def test_score_coalitions_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, v
         np.ones((1, d), dtype=bool),  # full: x's score on every row
     ])
     expected = model.score(hybrid_rows(x, background, masks)).reshape(len(masks), n_bg)
-    assert np.array_equal(model.score_coalitions(x, background, masks), expected)
+    assert np.array_equal(coalition_scores(model, x, background, masks), expected)
 
 
-def test_score_coalitions_spans_blocks(gaussian_data):
+def test_coalition_scorer_spans_blocks(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=2)
     rng = np.random.default_rng(6)
     background = rng.normal(size=(_COALITION_BLOCK_ROWS + 5, 4))
     x = gaussian_data.rows[int(np.argmax(model.score(gaussian_data.rows)))]
     masks = np.array([[True, False, False, True], [False, True, True, False]])
     expected = model.score(hybrid_rows(x, background, masks)).reshape(2, -1)
-    assert np.array_equal(model.score_coalitions(x, background, masks), expected)
-    assert model.score_coalitions(x, background, masks[:0]).shape == (0, _COALITION_BLOCK_ROWS + 5)
-    assert model.score_coalitions(x, background[:0], masks).shape == (2, 0)
+    assert np.array_equal(coalition_scores(model, x, background, masks), expected)
+    assert coalition_scores(model, x, background, masks[:0]).shape == (0, _COALITION_BLOCK_ROWS + 5)
+    assert coalition_scores(model, x, background[:0], masks).shape == (2, 0)
 
 
-def test_score_coalitions_rejects_bad_input(gaussian_data):
+def test_coalition_scorer_rejects_bad_input(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=0)
-    x, bg, masks = gaussian_data.rows[0], gaussian_data.rows[:3], np.zeros((2, 4), dtype=bool)
-    for bad_x, bad_bg, bad_masks, error in [
-        (gaussian_data.rows[:2], bg, masks, ModelError),
-        (np.zeros(3), bg, masks, ModelError),
-        (x, np.zeros((3, 3)), masks, ModelError),
-        (x, bg, np.zeros((2, 3), dtype=bool), ModelError),
-        (x, bg, np.zeros((2, 4)), ModelError),  # not boolean
-        (x, bg, np.zeros(4, dtype=bool), ModelError),
-        (np.full(4, np.nan), bg, masks, DataError),
-        (x, np.full((3, 4), np.inf), masks, DataError),
+    x, bg = gaussian_data.rows[0], gaussian_data.rows[:3]
+    for bad_x, bad_bg, error in [
+        (gaussian_data.rows[:2], bg, ModelError),
+        (np.zeros(3), bg, ModelError),
+        (x, np.zeros((3, 3)), ModelError),
+        (np.full(4, np.nan), bg, DataError),
+        (x, np.full((3, 4), np.inf), DataError),
     ]:
-        with pytest.raises(error):
-            model.score_coalitions(bad_x, bad_bg, bad_masks)
+        with pytest.raises(error, match=r"^IsolationForest\._coalition_scorer"):
+            model._coalition_scorer(bad_x, bad_bg)
 
 
 def test_if_dimension_mismatch(gaussian_data):

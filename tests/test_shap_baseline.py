@@ -123,9 +123,30 @@ def test_additivity_holds_for_sampled_path():
 
 
 def test_single_feature_attribution_is_score_gap():
-    bg = make_dataset(np.array([1.0, 3.0]))
-    expl = kernel_shap(lambda X: 2 * X[:, 0], np.array([5.0]), bg, coalitions=8, seed=0)
-    assert expl.phi[0] == pytest.approx(expl.score - expl.base_value)
+    # at d = 1 there is no interior coalition: the empty regression leaves
+    # the whole gap to the one feature, bit for bit, whatever the scorer
+    rng = np.random.default_rng(1)
+    data = make_dataset(rng.normal(size=(200, 1)))
+    forest = IsolationForest.fit(data, trees=20, subsample=64, seed=1)
+    loda = Loda.fit(data, projections=5, bins=10, seed=1)
+    bg = sample_background(data, 0.2, seed=1)
+    for scorer in (forest.score, loda.score, lambda X: np.sin(X[:, 0])):
+        for i in (0, 7):
+            expl = kernel_shap(scorer, data.rows[i], bg, coalitions=2 + i, seed=i)
+            assert expl.phi.tobytes() == np.asarray([expl.score - expl.base_value]).tobytes()
+            assert expl.coalitions == 2
+
+
+@pytest.mark.parametrize("d, enumerates", [(16, True), (17, False)])
+def test_exact_enumeration_iff_the_budget_covers_every_coalition(d, enumerates, monkeypatch):
+    # the budget cap, max(2^16, 2d + 2048), rules out 2^d coalitions from d = 17 on
+    calls = []
+    own = shap_baseline._enumerated_coalitions
+    monkeypatch.setattr(shap_baseline, "_enumerated_coalitions", lambda d: calls.append(d) or own(d))
+    bg = make_dataset(np.random.default_rng(d).normal(size=(2, d)))
+    expl = kernel_shap(lambda X: X.sum(axis=1), np.ones(d), bg, coalitions=2**16, seed=0)
+    assert calls == ([d] if enumerates else [])
+    assert expl.coalitions == 2**16
 
 
 def test_sampled_path_deterministic_given_seed():
