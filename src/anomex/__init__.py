@@ -12,6 +12,7 @@ from anomex.data import (
     Classification,
     Dataset,
     QuantileGrid,
+    RowOutOfRange,
     Scorer,
     build_quantile_grid,
     classify,
@@ -19,14 +20,17 @@ from anomex.data import (
     level_of,
     levels_of,
     load_csv,
+    load_csv_row,
     save_csv,
     value_at,
 )
 from anomex.detectors import (
     IsolationForest,
     Loda,
+    SavedModel,
     average_precision,
     load_model,
+    read_model,
     save_model,
 )
 from anomex.explainer import (
@@ -71,6 +75,7 @@ __all__ = [
     "Classification",
     "Dataset",
     "QuantileGrid",
+    "RowOutOfRange",
     "Scorer",
     "build_quantile_grid",
     "classify",
@@ -78,12 +83,15 @@ __all__ = [
     "level_of",
     "levels_of",
     "load_csv",
+    "load_csv_row",
     "save_csv",
     "value_at",
     "IsolationForest",
     "Loda",
+    "SavedModel",
     "average_precision",
     "load_model",
+    "read_model",
     "save_model",
     "LocalExplanation",
     "Weights",

@@ -85,14 +85,20 @@ def overall_importance(
     weights: Weights,
     threshold: float,
     top_positions: int | None = None,
+    *,
+    scores: np.ndarray | None = None,
 ) -> RankHistogram:
     """Explain every point scoring above the threshold; aggregate rankings.
 
     Flagged points are explained one after another in row order, and
     their rankings are reduced in that order. Raises DataError when the
     detector flags nothing, rather than returning an empty histogram.
+    ``scores``, the scorer's scores of ``data.rows`` when the caller has
+    them already, saves scoring the data again.
     """
-    scores = checked_scores(scorer(data.rows), data.n_rows, lambda i: f"row {i}")
+    if scores is None:
+        scores = scorer(data.rows)
+    scores = checked_scores(scores, data.n_rows, lambda i: f"row {i}")
     flagged = np.nonzero(scores > threshold)[0]
     if flagged.size == 0:
         raise DataError("no anomalies detected")

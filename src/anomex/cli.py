@@ -4,6 +4,14 @@ Exit codes: 0 ok, 1 usage, 2 data error, 3 model error, 4 numeric
 failure. Randomized subcommands require --seed (or the ANOMEX_SEED
 environment variable; the flag wins). All machine artifacts are JSON or
 CSV and byte-stable for identical inputs and seed.
+
+``fit`` stores the quantile grid of the training data in the model, and
+``explain`` and ``overall`` sweep that grid, so an explanation does not
+depend on the other rows of --input. ``explain`` then reads only the
+header and its own row of --input. A model without a grid (format
+version 1) falls back to the grid of --input, with a warning. ``shap``
+samples its background from --input. Warnings and the label diagnostics
+of ``score`` and ``overall`` go to stderr through ``logging``.
 """
 
 from __future__ import annotations
@@ -23,13 +31,22 @@ from anomex.aggregate import histogram_to_dict, merge_others, overall_importance
 from anomex.data import (
     Dataset,
     QuantileGrid,
+    RowOutOfRange,
     build_quantile_grid,
     classify,
     fit_threshold,
     load_csv,
+    load_csv_row,
     save_csv,
 )
-from anomex.detectors import IsolationForest, Loda, load_model, save_model
+from anomex.detectors import (
+    IsolationForest,
+    Loda,
+    average_precision,
+    load_model,
+    read_model,
+    save_model,
+)
 from anomex.errors import DataError, ModelError, NumericError
 from anomex.explainer import explain, explanation_to_dict, validate_weights
 from anomex.shap_baseline import kernel_shap, sample_background, shap_to_dict
@@ -37,6 +54,9 @@ from anomex.synth import SynthSpec, generate
 from anomex.viz import render_rank_bars, render_whatif
 
 SEED_ENV_VAR = "ANOMEX_SEED"
+DEFAULT_QUANTILES = 51
+# Zero-width grid columns named in the warning; the rest are counted.
+_NAMED_FLAT_FEATURES = 10
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +68,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
+
+
+_QUANTILES_HELP = f"grid levels K (default: the model's, else {DEFAULT_QUANTILES})"
 
 
 def _build_parser() -> _Parser:
@@ -65,6 +88,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--subsample", type=int, default=256, help="iforest: per-tree sample size")
     p.add_argument("--projections", type=int, default=100, help="loda: projection count")
     p.add_argument("--bins", type=int, default=100, help="loda: histogram bins")
+    p.add_argument("--quantiles", type=int, default=DEFAULT_QUANTILES,
+                   help="levels K of the training grid stored in the model")
 
     p = sub.add_parser("score", help="score a CSV with a saved model")
     p.add_argument("--model", required=True)
@@ -77,7 +102,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--row", type=int, required=True, help="0-based row index")
     p.add_argument("--weights", default="0.3,0.3,0.2,0.2", help="wD,wC,wQ,wR")
-    p.add_argument("--quantiles", type=int, default=51, help="grid levels K")
+    p.add_argument("--quantiles", type=int, default=None, help=_QUANTILES_HELP)
     p.add_argument("--out", required=True, help="explanation JSON path")
     p.add_argument("--svg", default=None, help="optional what-if chart path")
     p.add_argument("--top-k", type=int, default=None, help="rows in the chart")
@@ -90,7 +115,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--positions", type=int, default=None, help="rank positions (default min(d, 10))")
     p.add_argument("--cutoff", type=float, default=0.05, help="merge share for 'others'")
     p.add_argument("--weights", default="0.3,0.3,0.2,0.2")
-    p.add_argument("--quantiles", type=int, default=51)
+    p.add_argument("--quantiles", type=int, default=None, help=_QUANTILES_HELP)
     p.add_argument("--out", required=True, help="histogram JSON path")
     p.add_argument("--svg", default=None, help="optional stacked bar chart path")
     p.add_argument("--width", type=int, default=760)
@@ -116,7 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--fractions", default="0.05,0.1,0.2,0.5")
     p.add_argument("--dims", default="10,20,40")
     p.add_argument("--coalitions", type=int, default=None)
-    p.add_argument("--quantiles", type=int, default=51)
+    p.add_argument("--quantiles", type=int, default=DEFAULT_QUANTILES)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--contamination", type=float, default=0.01)
@@ -144,35 +169,93 @@ def _require_seed(args: argparse.Namespace) -> int:
     raise UsageError(f"--seed is required (or set {SEED_ENV_VAR})")
 
 
+def _check_features(names: tuple[str, ...], model_names: tuple[str, ...]) -> None:
+    if names != model_names:
+        raise ModelError(
+            f"input features {list(names)} do not match model features {list(model_names)}"
+        )
+
+
 def _load_compatible(path: str, model_names: tuple[str, ...], has_labels: bool) -> Dataset:
     data = load_csv(path, has_labels=has_labels)
-    if data.feature_names != model_names:
-        raise ModelError(
-            f"input features {list(data.feature_names)} do not match "
-            f"model features {list(model_names)}"
-        )
+    _check_features(data.feature_names, model_names)
     return data
 
 
 def _pick_row(data: Dataset, row: int) -> np.ndarray:
     if not 0 <= row < data.n_rows:
-        raise UsageError(f"--row {row} out of range [0, {data.n_rows})")
+        raise _row_out_of_range(row, data.n_rows)
     return data.rows[row]
 
 
-def _quantile_grid(data: Dataset, k_levels: int) -> QuantileGrid:
-    """The grid of ``--input``; DataError if no feature has any spread.
+def _read_row(path: str, row: int, model_names: tuple[str, ...], has_labels: bool) -> np.ndarray:
+    try:
+        data = load_csv_row(path, row, has_labels=has_labels)
+    except RowOutOfRange as exc:
+        raise _row_out_of_range(row, exc.n_rows) from None
+    _check_features(data.feature_names, model_names)
+    return data.rows[0]
+
+
+def _row_out_of_range(row: int, n_rows: int) -> UsageError:
+    return UsageError(f"--row {row} out of range [0, {n_rows})")
+
+
+def _check_stored_grid(grid: QuantileGrid | None, k_levels: int | None) -> None:
+    """Warn if the model holds no training grid; check ``--quantiles`` against it.
+
+    UsageError if ``--quantiles`` asks for other levels than the stored grid has.
+    """
+    if grid is None:
+        logger.warning(
+            "the model holds no quantile grid (format version 1, or saved without one): "
+            "sweeping the grid of --input, which need not be the training distribution"
+        )
+    elif k_levels is not None and k_levels != grid.n_levels:
+        raise UsageError(
+            f"--quantiles {k_levels} differs from the {grid.n_levels} levels of the "
+            f"model's grid; refit with --quantiles {k_levels}"
+        )
+
+
+def _input_grid(data: Dataset, k_levels: int | None) -> QuantileGrid:
+    grid = build_quantile_grid(data, DEFAULT_QUANTILES if k_levels is None else k_levels)
+    _check_spread(grid, data.feature_names, f"--input ({data.n_rows} row(s))")
+    return grid
+
+
+def _check_spread(grid: QuantileGrid, names: tuple[str, ...], source: str) -> None:
+    """DataError if no feature has any spread; warn naming those without.
 
     Over such a grid every curve is flat and every importance 0, so the
     ranking would only echo the feature order.
     """
-    grid = build_quantile_grid(data, k_levels)
-    if (grid.values[:, -1] == grid.values[:, 0]).all():
+    flat = np.flatnonzero(grid.values[:, -1] == grid.values[:, 0])
+    if flat.size == len(names):
         raise DataError(
-            f"every feature of --input is constant over its {data.n_rows} row(s): "
+            f"every feature is constant in {source}: "
             "the quantile grid has zero width, so no feature can be ranked"
         )
-    return grid
+    if flat.size:
+        shown = ", ".join(names[j] for j in flat[:_NAMED_FLAT_FEATURES])
+        more = flat.size - _NAMED_FLAT_FEATURES
+        logger.warning(
+            "%d of %d features are constant in %s, so their sweeps are flat: %s%s",
+            flat.size, len(names), source, shown, f" and {more} more" if more > 0 else "",
+        )
+
+
+def _log_label_diagnostics(labels: np.ndarray, scores: np.ndarray, threshold: float) -> None:
+    """One stderr line on how the flagged rows relate to the labelled anomalies."""
+    flagged = scores > threshold
+    hits = int(labels[flagged].sum())
+    precision = f"{hits / flagged.sum():.4g}" if flagged.any() else "undefined"
+    ap = f"{average_precision(labels, scores):.4g}" if labels.any() else "undefined"
+    logger.info(
+        "labels: average precision %s (base rate %.4g), precision at the threshold %s, "
+        "%d of %d flagged rows are labelled anomalies",
+        ap, labels.mean(), precision, hits, int(flagged.sum()),
+    )
 
 
 def _write_text(path: str, text: str) -> None:
@@ -193,7 +276,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     else:
         detector = Loda.fit(data, projections=args.projections, bins=args.bins, seed=seed)
     threshold = fit_threshold(detector.score(data.rows), args.contamination)
-    save_model(detector, threshold, args.contamination, args.out)
+    grid = build_quantile_grid(data, args.quantiles)
+    save_model(detector, threshold, args.contamination, args.out, grid)
     print(f"fitted {args.model} on {data.n_rows}x{data.n_features}, threshold={threshold:.6g}")
     return 0
 
@@ -202,6 +286,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     detector, threshold, _ = load_model(args.model)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
     scores = detector.score(data.rows)
+    if args.has_labels:
+        _log_label_diagnostics(data.labels, scores, threshold)
     lines = ["row,score,classification"]
     for i, s in enumerate(scores):
         lines.append(f"{i},{float(s)!r},{classify(float(s), threshold).value}")
@@ -212,12 +298,18 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    detector, threshold, _ = load_model(args.model)
-    data = _load_compatible(args.input, detector.feature_names, args.has_labels)
-    x = _pick_row(data, args.row)
+    detector, threshold, _, grid = read_model(args.model)
+    names = detector.feature_names
+    _check_stored_grid(grid, args.quantiles)
+    if grid is None:
+        data = _load_compatible(args.input, names, args.has_labels)
+        x = _pick_row(data, args.row)
+        grid = _input_grid(data, args.quantiles)
+    else:
+        x = _read_row(args.input, args.row, names, args.has_labels)
+        _check_spread(grid, names, "the training data")
     weights = validate_weights(args.weights.split(","))
-    grid = _quantile_grid(data, args.quantiles)
-    expl = explain(detector.score, x, grid, weights, threshold, feature_names=data.feature_names)
+    expl = explain(detector.score, x, grid, weights, threshold, feature_names=names)
     # the chart is rendered first, so a bad chart flag leaves no file behind
     svg = render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
@@ -238,12 +330,20 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_overall(args: argparse.Namespace) -> int:
-    detector, threshold, _ = load_model(args.model)
+    detector, threshold, _, grid = read_model(args.model)
+    _check_stored_grid(grid, args.quantiles)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
+    if grid is None:
+        grid = _input_grid(data, args.quantiles)
+    else:
+        _check_spread(grid, data.feature_names, "the training data")
     weights = validate_weights(args.weights.split(","))
-    grid = _quantile_grid(data, args.quantiles)
+    scores = detector.score(data.rows)
+    if args.has_labels:
+        _log_label_diagnostics(data.labels, scores, threshold)
     hist = overall_importance(
-        detector.score, data, grid, weights, threshold, top_positions=args.positions
+        detector.score, data, grid, weights, threshold, top_positions=args.positions,
+        scores=scores,
     )
     # the summary names a real feature, so it reads the histogram before
     # small features are folded into the synthetic 'others' row
@@ -382,6 +482,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    logging.basicConfig(level=logging.INFO, format="%(message)s")
     sys.exit(run())
 
 

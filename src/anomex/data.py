@@ -11,6 +11,10 @@ Everything downstream works with three primitives defined here:
   Anomalous; classification is strict (a score exactly on the threshold
   is Normal).
 
+CSV files are read whole by ``load_csv``. ``load_csv_row`` reads the
+header and one row only, with the same values and error texts for what
+it reads; the other rows are not validated.
+
 All types are immutable after construction and safe for concurrent
 readers.
 """
@@ -89,9 +93,7 @@ class Dataset:
             raise DataError(f"dataset must have at least one row and one feature, got {n}x{d}")
         if len(names) != d:
             raise DataError(f"{len(names)} feature names for {d} columns")
-        if len(set(names)) != len(names):
-            dupes = sorted({x for x in names if names.count(x) > 1})
-            raise DataError(f"duplicate feature names: {dupes}")
+        _check_unique(names)
         bad = ~np.isfinite(rows)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -117,7 +119,21 @@ class Dataset:
         return self.rows.shape[1]
 
 
+def _check_unique(names: Sequence[str]) -> None:
+    if len(set(names)) != len(names):
+        dupes = sorted({x for x in names if names.count(x) > 1})
+        raise DataError(f"duplicate feature names: {dupes}")
+
+
 LABEL_COLUMN = "label"
+
+
+class RowOutOfRange(IndexError):
+    """A row index outside a file's rows; ``n_rows`` is how many it has."""
+
+    def __init__(self, index: int, n_rows: int) -> None:
+        super().__init__(f"row {index} out of range [0, {n_rows})")
+        self.n_rows = n_rows
 
 
 def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
@@ -149,27 +165,159 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
     except UnicodeDecodeError:
         raise DataError(f"{path}: line {_first_non_utf8_line(path)} is not valid UTF-8") from None
 
-    if has_labels:
-        if header[-1] != LABEL_COLUMN:
-            raise DataError(f"{path}: expected trailing {LABEL_COLUMN!r} column, got {header[-1]!r}")
-        names = header[:-1]
-        if not names:
-            raise DataError(f"{path}: no feature columns besides {LABEL_COLUMN!r}")
-    else:
-        names = header
-
+    names = _feature_columns(path, header, has_labels)
     if values is None:
         if not raw_rows:
             raise DataError(f"{path}: no data rows")
         values = _parse_cells(path, header, raw_rows)
+    return _dataset(path, names, values, has_labels)
 
-    if has_labels:
-        labels = values[:, -1]
-        if not np.isin(labels, (0.0, 1.0)).all():
-            i = int(np.nonzero(~np.isin(labels, (0.0, 1.0)))[0][0])
-            raise DataError(f"{path}: label at row {i + 1} is not 0 or 1")
-        return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
-    return Dataset(tuple(names), values)
+
+def _feature_columns(path: Path, header: list[str], has_labels: bool) -> list[str]:
+    """The feature names of a stripped header row; checks the label column."""
+    if not has_labels:
+        return header
+    last = header[-1] if header else ""
+    if last != LABEL_COLUMN:
+        raise DataError(f"{path}: expected trailing {LABEL_COLUMN!r} column, got {last!r}")
+    if len(header) == 1:
+        raise DataError(f"{path}: no feature columns besides {LABEL_COLUMN!r}")
+    return header[:-1]
+
+
+def _dataset(
+    path: Path, names: list[str], values: np.ndarray, has_labels: bool, first: int = 0
+) -> Dataset:
+    """A Dataset of parsed cells whose row 0 is the file's row ``first``; checks labels."""
+    if not has_labels:
+        return Dataset(tuple(names), values)
+    labels = values[:, -1]
+    if not np.isin(labels, (0.0, 1.0)).all():
+        i = int(np.nonzero(~np.isin(labels, (0.0, 1.0)))[0][0])
+        raise DataError(f"{path}: label at row {first + i + 1} is not 0 or 1")
+    return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
+
+
+# Bytes read per step of load_csv_row's scan for its row: per-step Python
+# is negligible at this size, and memory stays flat. On the 20 MB 20000x50
+# criterion-7 file an `anomex explain` process peaks at 38 MB this way; a
+# prototype that read and split the whole file peaked at 73 MB.
+_ROW_SCAN_BYTES = 1 << 20
+
+# Bytes that send load_csv_row to load_csv: with them, records may not be
+# the lines split at b"\n". A quote can hold a line break; str.splitlines
+# breaks lines at \x1c-\x1f, and load_csv sends them down its per-cell path.
+_UNLIKE_CSV = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def load_csv_row(path: str | Path, index: int, has_labels: bool = False) -> Dataset:
+    """Row ``index`` of ``load_csv(path, has_labels)``, as a one-row Dataset.
+
+    Only the header and that row are parsed: the file is scanned in binary
+    chunks for its line breaks, and the two lines go through the csv
+    reader, cell checks and label check of ``load_csv``, so values, error
+    messages and row numbers are the same. Rows that are not read are not
+    validated. Where csv.reader may split records other than at line
+    breaks (a quote, a bare \\r, a blank line, a \\x1c-\\x1f byte or a line
+    longer than ``csv.field_size_limit()`` in the scanned part) or a line
+    read is not UTF-8, the whole file goes through ``load_csv`` instead.
+
+    RowOutOfRange if there is no row ``index``; every line is then counted.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"no such file: {path}")
+    scan = _scan_for_row(path, index)
+    if scan is not None:
+        header_line, row_line, n_rows = scan
+        lines = [header_line] if row_line is None else [header_line, row_line]
+        try:
+            head, *cells = csv.reader([line.decode("utf-8") for line in lines])
+        except (UnicodeDecodeError, csv.Error):
+            scan = None
+    if scan is None:
+        data = load_csv(path, has_labels=has_labels)
+        if not 0 <= index < data.n_rows:
+            raise RowOutOfRange(index, data.n_rows)
+        labels = None if data.labels is None else data.labels[index : index + 1]
+        return Dataset(data.feature_names, data.rows[index : index + 1], labels)
+    header = [h.strip() for h in head]
+    names = _feature_columns(path, header, has_labels)
+    if row_line is None:
+        if n_rows == 0:
+            raise DataError(f"{path}: no data rows")
+        _check_unique(names)  # as load_csv's Dataset would
+        raise RowOutOfRange(index, n_rows)
+    return _dataset(path, names, _parse_cells(path, header, cells, first=index), has_labels,
+                    first=index)
+
+
+def _scan_for_row(path: Path, index: int) -> tuple[bytes, bytes | None, int] | None:
+    """The header line, row ``index``'s line or None, and the rows counted.
+
+    Lines keep their line break. Without row ``index`` the count is that
+    of every row in the file. None where a chunk read is not plain (see
+    ``_plain_line_ends``) or the file has no header line.
+    """
+    limit = csv.field_size_limit()
+    target = index + 1 if index >= 0 else -1  # line number; the header is line 0
+    header = None
+    seen = 0  # lines before `block`
+    carry = b""  # the unfinished line at the end of the last chunk
+    with path.open("rb") as fh:
+        while True:
+            chunk = fh.read(_ROW_SCAN_BYTES)
+            if chunk:
+                block = carry + chunk
+                cut = block.rfind(b"\n") + 1
+                block, carry = block[:cut], block[cut:]
+                if len(carry) > limit:
+                    return None
+            else:
+                block = carry  # the last line, which lacks a line break
+            ends = _plain_line_ends(block, limit)
+            if ends is None:
+                return None
+            if header is None and ends.size:
+                header = block[: ends[0] + 1]
+            k = target - seen
+            if 0 <= k < ends.size:
+                start = ends[k - 1] + 1 if k else 0
+                return header, block[start : ends[k] + 1], 0
+            seen += ends.size
+            if not chunk:
+                return None if header is None else (header, None, seen - 1)
+
+
+def _plain_line_ends(block: bytes, limit: int) -> np.ndarray | None:
+    """Where each line of ``block`` ends, or None unless every line is plain.
+
+    ``block`` holds whole lines from a line start; a line ends at its
+    b"\\n", or at the end of ``block`` if it has none. A plain line is not
+    blank, holds no byte of ``_UNLIKE_CSV``, has a \\r only before its
+    \\n and is at most ``limit`` bytes long, so csv.reader makes it one
+    record and none of its cells exceeds ``csv.field_size_limit()``.
+    """
+    if not block:
+        return np.empty(0, dtype=np.intp)
+    if any(s in block for s in _UNLIKE_CSV):
+        return None
+    a = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(a == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, a.size)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts
+    terminated = ends[ends < a.size]
+    crlf = np.count_nonzero(a[terminated[terminated > 0] - 1] == ord("\r"))
+    if (
+        np.count_nonzero(a == ord("\r")) != crlf  # a bare \r ends a record
+        or (lengths == 0).any()
+        or ((lengths == 1) & (a[starts] == ord("\r"))).any()
+        or (lengths > limit).any()
+    ):
+        return None
+    return ends
 
 
 def _first_non_utf8_line(path: Path) -> int:
@@ -234,11 +382,16 @@ def _reject_unlike_csv(lines: Iterator[str]) -> Iterator[str]:
         yield line
 
 
-def _parse_cells(path: Path, header: list[str], raw_rows: list[list[str]]) -> np.ndarray:
-    """Convert csv.reader rows cell by cell, naming the first bad row or cell."""
+def _parse_cells(
+    path: Path, header: list[str], raw_rows: list[list[str]], first: int = 0
+) -> np.ndarray:
+    """Convert csv.reader rows cell by cell, naming the first bad row or cell.
+
+    ``raw_rows[0]`` is the file's row ``first``, for the row numbers.
+    """
     width = len(header)
     values = np.empty((len(raw_rows), width), dtype=np.float64)
-    for i, row in enumerate(raw_rows):
+    for i, row in enumerate(raw_rows, start=first):
         if len(row) != width:
             raise DataError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
         for j, cell in enumerate(row):
@@ -250,7 +403,7 @@ def _parse_cells(path: Path, header: list[str], raw_rows: list[list[str]]) -> np
                 ) from None
             if not math.isfinite(v):
                 raise DataError(f"{path}: non-finite cell at row {i + 1}, column {header[j]!r}")
-            values[i, j] = v
+            values[i - first, j] = v
     return values
 
 

@@ -4,7 +4,8 @@ Both detectors satisfy the package-wide scoring contract: ``score(X)``
 takes an (m, d) batch and returns m finite scores, higher = more
 anomalous, deterministic for a fixed seed, and safe to call concurrently
 once fitted. Fitted models persist to a versioned JSON document via
-``save_model`` / ``load_model``.
+``save_model`` / ``load_model``; format version 2 can carry the quantile
+grid of the training data, which ``read_model`` returns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from anomex.data import Dataset
+from anomex.data import Dataset, QuantileGrid
 from anomex.errors import DataError, ModelError
 
 # Rows scored per block: bounds the (rows, n_trees) walker matrices and
@@ -806,7 +807,11 @@ class Loda:
         return cls(names, projections, lo, width, probs, _integer(doc["seed"], "seed"))
 
 
-MODEL_FORMAT_VERSION = 1
+# Version 2 adds the optional "grid": the (d, K) quantile values of the
+# training data. Its levels are linspace(0, 1, K) and are not stored.
+# Version 1 documents still load, without a grid.
+MODEL_FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 _MODEL_TYPES = {"iforest": IsolationForest, "loda": Loda}
 
 Detector = IsolationForest | Loda
@@ -824,13 +829,27 @@ def bound_detector(scorer: object) -> Detector | None:
     return None
 
 
+class SavedModel(NamedTuple):
+    """A model document: detector, threshold, contamination and training grid."""
+
+    detector: Detector
+    threshold: float
+    contamination: float
+    grid: QuantileGrid | None  # None in a document saved without one
+
+
 def save_model(
     detector: Detector,
     threshold: float,
     contamination: float,
     path: str | Path,
+    grid: QuantileGrid | None = None,
 ) -> None:
-    """Persist a fitted detector plus its classification threshold as JSON."""
+    """Persist a fitted detector plus its classification threshold as JSON.
+
+    ``grid``, the quantile grid of the training data, is stored with it
+    when given; explanations then sweep the training distribution.
+    """
     for name, klass in _MODEL_TYPES.items():
         if isinstance(detector, klass):
             model_type = name
@@ -844,11 +863,26 @@ def save_model(
         "contamination": float(contamination),
         "model": detector.to_dict(),
     }
+    if grid is not None:
+        if grid.n_features != len(detector.feature_names):
+            raise ModelError(
+                f"grid has {grid.n_features} features, model has {len(detector.feature_names)}"
+            )
+        doc["grid"] = grid.values.tolist()
     Path(path).write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> tuple[Detector, float, float]:
     """Load a model JSON; returns (detector, threshold, contamination)."""
+    return read_model(path)[:3]
+
+
+def read_model(path: str | Path) -> SavedModel:
+    """Load a model JSON with its training grid; ModelError if malformed.
+
+    A stored grid must be (d, K >= 2), finite, and non-decreasing along
+    each feature.
+    """
     path = Path(path)
     if not path.is_file():
         raise ModelError(f"no such model file: {path}")
@@ -858,7 +892,8 @@ def load_model(path: str | Path) -> tuple[Detector, float, float]:
         raise ModelError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelError(f"{path}: not a model document")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
+    version = doc["format_version"]
+    if type(version) is not int or version not in _READABLE_VERSIONS:  # true == 1 in Python
         raise ModelError(f"{path}: unsupported format version {doc['format_version']}")
     model_type = doc.get("model_type")
     klass = _MODEL_TYPES.get(model_type) if isinstance(model_type, str) else None
@@ -871,9 +906,21 @@ def load_model(path: str | Path) -> tuple[Detector, float, float]:
         if not np.isfinite(threshold) or not 0.0 < contamination < 1.0:
             raise ModelError("'threshold' must be finite and 'contamination' in (0, 1)")
         detector = klass.from_dict(doc["model"])
+        grid = _grid(doc["grid"], len(detector.feature_names)) if "grid" in doc else None
     except ModelError as exc:
         raise ModelError(f"{path}: {exc}") from None
-    return detector, float(threshold), float(contamination)
+    return SavedModel(detector, float(threshold), float(contamination), grid)
+
+
+def _grid(value: object, d: int) -> QuantileGrid:
+    values = _numbers(value, "'grid'", ndim=2)
+    if values.shape[0] != d or values.shape[1] < 2:
+        raise ModelError(f"'grid' must be ({d}, K >= 2), got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ModelError("'grid' holds a non-finite value")
+    if (np.diff(values, axis=1) < 0).any():
+        raise ModelError("'grid' must be non-decreasing along each feature")
+    return QuantileGrid(np.linspace(0.0, 1.0, values.shape[1]), values)
 
 
 def average_precision(labels: np.ndarray, scores: np.ndarray) -> float:

@@ -4,14 +4,17 @@ import logging
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomex.cli import SEED_ENV_VAR, run
 from anomex.data import load_csv
-from anomex.detectors import load_model
+from anomex.detectors import average_precision, load_model
 from anomex.shap_baseline import kernel_shap, sample_background, shap_to_dict
 
 
@@ -33,6 +36,13 @@ def workspace(tmp_path):
         "--contamination", "0.03", "--seed", "3", "--out", str(model),
     ) == 0
     return tmp_path, data, model
+
+
+def cli_env():
+    """The environment of an ``anomex.cli`` subprocess that imports this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
 
 
 def test_pipeline_synth_fit_overall_recovers_root(workspace, capsys):
@@ -87,7 +97,10 @@ def test_score_csv_layout(workspace):
 
 
 def test_explain_uses_default_weights_and_writes_svg(workspace):
-    tmp, data, model = workspace
+    tmp, data, _ = workspace
+    model = tmp / "model31.json"
+    assert invoke("fit", "--input", str(data), "--has-labels", "--model", "iforest",
+                  "--quantiles", "31", "--seed", "3", "--out", str(model)) == 0
     out = tmp / "expl.json"
     svg = tmp / "expl.svg"
     code = invoke(
@@ -135,17 +148,102 @@ def test_explain_warns_when_no_feature_can_flip_the_class(workspace, caplog):
 
 def test_explain_no_flip_warning_reaches_stderr(workspace):
     tmp, data, model = workspace
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
     proc = subprocess.run(
         [sys.executable, "-m", "anomex.cli", "explain", "--model", str(model), "--input",
          str(data), "--has-labels", "--row", "2", "--out", str(tmp / "e.json")],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=cli_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count(NO_FLIP) == 1
     assert NO_FLIP not in proc.stdout
+
+
+def expected_label_line(data, model):
+    labelled = load_csv(data, has_labels=True)
+    detector, threshold, _ = load_model(model)
+    scores = detector.score(labelled.rows)
+    flagged = scores > threshold
+    hits = int(labelled.labels[flagged].sum())
+    return (
+        f"labels: average precision {average_precision(labelled.labels, scores):.4g} "
+        f"(base rate {labelled.labels.mean():.4g}), precision at the threshold "
+        f"{hits / flagged.sum():.4g}, {hits} of {flagged.sum()} flagged rows are labelled "
+        "anomalies"
+    )
+
+
+def test_label_diagnostics_are_logged_with_labels_only(workspace, caplog):
+    tmp, data, model = workspace
+    expected = expected_label_line(data, model)
+    unlabelled = tmp / "unlabelled.csv"
+    unlabelled.write_text("".join(
+        line.rsplit(",", 1)[0] + "\n" for line in data.read_text().splitlines()
+    ))
+    for command in ("score", "overall"):
+        for labelled in (True, False):
+            caplog.clear()
+            out = tmp / f"{command}-{labelled}.out"
+            inp, flag = (data, ["--has-labels"]) if labelled else (unlabelled, [])
+            with caplog.at_level(logging.INFO, logger="anomex"):
+                assert invoke(command, "--model", str(model), "--input", str(inp), *flag,
+                              "--out", str(out)) == 0
+            lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("labels:")]
+            assert lines == ([expected] if labelled else [])
+        # the artifact does not depend on the diagnostics
+        assert (tmp / f"{command}-True.out").read_bytes() == \
+            (tmp / f"{command}-False.out").read_bytes()
+
+
+def test_label_diagnostics_reach_stderr(workspace):
+    tmp, data, model = workspace
+    proc = subprocess.run(
+        [sys.executable, "-m", "anomex.cli", "score", "--model", str(model), "--input",
+         str(data), "--has-labels", "--out", str(tmp / "s.csv")],
+        env=cli_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [expected_label_line(data, model)]
+    assert "labels:" not in proc.stdout
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A small labelled CSV, its lines, a model fitted on it, and each row's explanation."""
+    tmp = tmp_path_factory.mktemp("trained")
+    data, model = tmp / "data.csv", tmp / "model.json"
+    assert invoke("synth", "--n", "120", "--anomalies", "6", "--dims", "4", "--root", "1",
+                  "--shift", "4", "--seed", "9", "--out", str(data)) == 0
+    assert invoke("fit", "--input", str(data), "--has-labels", "--model", "iforest",
+                  "--contamination", "0.05", "--seed", "9", "--out", str(model)) == 0
+    return data.read_text().splitlines(), model, {}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    row=st.integers(0, 125),
+    others=st.lists(st.integers(0, 125), max_size=10),
+    position=st.integers(0, 10),
+)
+def test_explanation_does_not_depend_on_the_other_input_rows(trained, row, others, position):
+    lines, model, within_training = trained
+    body = [lines[1 + i] for i in others]
+    position = min(position, len(body))
+    body.insert(position, lines[1 + row])
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "in.csv", Path(tmp) / "expl.json"
+        if row not in within_training:
+            inp.write_text("\n".join(lines) + "\n")
+            assert invoke("explain", "--model", str(model), "--input", str(inp), "--has-labels",
+                          "--row", str(row), "--out", str(out)) == 0
+            within_training[row] = json.loads(out.read_text())
+        inp.write_text("\n".join([lines[0], *body]) + "\n")
+        assert invoke("explain", "--model", str(model), "--input", str(inp), "--has-labels",
+                      "--row", str(position), "--out", str(out)) == 0
+        doc = json.loads(out.read_text())
+    assert doc.pop("point_id") == position
+    expected = dict(within_training[row])
+    del expected["point_id"]
+    assert doc == expected
 
 
 def test_explain_idempotent_bytes(workspace):
@@ -299,18 +397,143 @@ def test_data_error_no_anomalies(workspace, capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["explain", "overall"])
 def test_data_error_flat_grid(workspace, capsys, command):
-    # one row of the training data: every column of its grid has zero width
+    # trained on two identical rows: every column of the stored grid has zero width
+    tmp, data, _ = workspace
+    lines = data.read_text().splitlines()
+    twice = tmp / "twice.csv"
+    twice.write_text(lines[0] + "\n" + lines[806] + "\n" + lines[806] + "\n")
+    model = tmp / "flat.json"
+    assert invoke("fit", "--input", str(twice), "--has-labels", "--model", "iforest",
+                  "--seed", "3", "--out", str(model)) == 0
+    out = tmp / "out.json"
+    row = ["--row", "0"] if command == "explain" else []
+    code = invoke(command, "--model", str(model), "--input", str(data), "--has-labels",
+                  *row, "--out", str(out), "--svg", str(tmp / "out.svg"))
+    assert code == 2
+    assert "quantile grid has zero width" in capsys.readouterr().err
+    assert not out.exists() and not (tmp / "out.svg").exists()
+
+
+def as_version_1(model, path):
+    """The model document as format version 1 wrote it: no grid."""
+    doc = json.loads(model.read_text())
+    del doc["grid"]
+    doc["format_version"] = 1
+    path.write_text(json.dumps(doc, sort_keys=True))
+    return path
+
+
+@pytest.mark.parametrize("command", ["explain", "overall"])
+def test_data_error_flat_input_grid_of_a_version_1_model(workspace, capsys, command):
+    # without a stored grid, one row of --input gives a grid of zero width
     tmp, data, model = workspace
+    v1 = as_version_1(model, tmp / "v1.json")
     lines = data.read_text().splitlines()
     one_row = tmp / "one_row.csv"
     one_row.write_text(lines[0] + "\n" + lines[806] + "\n")
     out = tmp / "out.json"
     row = ["--row", "0"] if command == "explain" else []
-    code = invoke(command, "--model", str(model), "--input", str(one_row), "--has-labels",
-                  *row, "--out", str(out), "--svg", str(tmp / "out.svg"))
+    code = invoke(command, "--model", str(v1), "--input", str(one_row), "--has-labels",
+                  *row, "--out", str(out))
     assert code == 2
     assert "quantile grid has zero width" in capsys.readouterr().err
-    assert not out.exists() and not (tmp / "out.svg").exists()
+    assert not out.exists()
+
+
+def test_one_row_input_is_explained_against_the_training_grid(workspace):
+    tmp, data, model = workspace
+    lines = data.read_text().splitlines()
+    one_row = tmp / "one_row.csv"
+    one_row.write_text(lines[0] + "\n" + lines[806] + "\n")
+    alone, within = tmp / "alone.json", tmp / "within.json"
+    assert invoke("explain", "--model", str(model), "--input", str(one_row), "--has-labels",
+                  "--row", "0", "--out", str(alone)) == 0
+    assert invoke("explain", "--model", str(model), "--input", str(data), "--has-labels",
+                  "--row", "805", "--out", str(within)) == 0
+    doc = json.loads(alone.read_text())
+    assert doc.pop("point_id") == 0
+    expected = json.loads(within.read_text())
+    del expected["point_id"]
+    assert doc == expected
+
+
+def test_version_1_model_explains_from_input_and_warns_once(workspace, caplog):
+    tmp, data, model = workspace
+    v1 = as_version_1(model, tmp / "v1.json")
+    outs = {}
+    for name, path in (("v1", v1), ("v2", model)):
+        caplog.clear()
+        outs[name] = tmp / f"{name}.json"
+        with caplog.at_level(logging.WARNING, logger="anomex.cli"):
+            assert invoke("explain", "--model", str(path), "--input", str(data), "--has-labels",
+                          "--row", "805", "--out", str(outs[name]), "--svg",
+                          str(tmp / f"{name}.svg")) == 0
+        grid_warnings = [r for r in caplog.records if "holds no quantile grid" in r.getMessage()]
+        assert len(grid_warnings) == (1 if name == "v1" else 0)
+    # with the training CSV as --input, both grids are the same bits
+    assert outs["v1"].read_bytes() == outs["v2"].read_bytes()
+    assert (tmp / "v1.svg").read_bytes() == (tmp / "v2.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda g: g[0].reverse(),
+        lambda g: g[1].__setitem__(3, float("nan")),
+        lambda g: g.pop(),
+        lambda g: [row.__delitem__(slice(1, None)) for row in g],
+        lambda g: g[2].append(1e9),
+    ],
+    ids=["decreasing", "nan", "too-few-features", "one-level", "ragged"],
+)
+def test_model_error_bad_stored_grid(workspace, tmp_path, capsys, edit):
+    tmp, data, model = workspace
+    doc = json.loads(model.read_text())
+    edit(doc["grid"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "e.json"
+    assert invoke("explain", "--model", str(bad), "--input", str(data), "--has-labels",
+                  "--row", "0", "--out", str(out)) == 3
+    assert "'grid'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "overall"])
+def test_usage_error_quantiles_differ_from_the_stored_grid(workspace, tmp_path, capsys, command):
+    tmp, data, model = workspace
+    row = ["--row", "0"] if command == "explain" else []
+    out = tmp_path / "out.json"
+    assert invoke(command, "--model", str(model), "--input", str(data), "--has-labels", *row,
+                  "--quantiles", "31", "--out", str(out)) == 1
+    assert "--quantiles 31 differs from the 51 levels" in capsys.readouterr().err
+    assert not out.exists()
+    # the stored K itself is accepted
+    assert invoke(command, "--model", str(model), "--input", str(data), "--has-labels", *row,
+                  "--quantiles", "51", "--out", str(out)) == 0
+
+
+def test_partly_flat_grid_names_the_constant_features(tmp_path, caplog):
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(60, 15))
+    rows[:, 1:13] = 2.5  # 12 of 15 features constant in training
+    names = [f"g{j}" for j in range(15)]
+    train = tmp_path / "train.csv"
+    body = "\n".join(",".join(map(repr, r)) for r in rows.tolist())
+    train.write_text(",".join(names) + "\n" + body + "\n")
+    model = tmp_path / "model.json"
+    assert invoke("fit", "--input", str(train), "--model", "iforest", "--seed", "1",
+                  "--contamination", "0.1", "--out", str(model)) == 0
+    for command, row in (("explain", ["--row", "4"]), ("overall", [])):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="anomex.cli"):
+            assert invoke(command, "--model", str(model), "--input", str(train), *row,
+                          "--out", str(tmp_path / f"{command}.json")) == 0
+        flat = [r.getMessage() for r in caplog.records if "constant in" in r.getMessage()]
+        assert flat == [
+            "12 of 15 features are constant in the training data, so their sweeps are flat: "
+            "g1, g2, g3, g4, g5, g6, g7, g8, g9, g10 and 2 more"
+        ]
 
 
 @pytest.mark.parametrize("command", ["explain", "overall", "bench"])

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import anomex.data
@@ -13,12 +16,14 @@ from anomex.data import (
     Dataset,
     Classification,
     QuantileGrid,
+    RowOutOfRange,
     build_quantile_grid,
     classify,
     fit_threshold,
     level_of,
     levels_of,
     load_csv,
+    load_csv_row,
     save_csv,
     value_at,
 )
@@ -323,6 +328,164 @@ def test_plain_csv_takes_the_vectorised_path(tmp_path, monkeypatch):
     data = load_csv(p, has_labels=True)
     assert data.rows.tolist() == [[1.0, 0.0025], [-0.0, 4.0]]
     assert data.labels.tolist() == [0, 1]
+
+
+# -- one-row reads ---------------------------------------------------------------
+#
+# load_csv_row must give what load_csv gives for the row it reads: the same
+# bits, or the same error text. It does not read the other rows, so where
+# one of them is bad, load_csv fails while the row reader may not; it then
+# gives what load_csv gives once those other rows are made good.
+
+# (cell text, whether float() takes it as a finite number) as csv.reader
+# yields it; quoted cells and a cell longer than the field limit below
+# stress the places where lines and records differ.
+ROW_CELLS = [
+    ("1", True), ("-2.5", True), ("1e-300", True), (" 4 ", True), ("1_0", True),
+    ('"3"', True), ("0", True), ("x", False), ("NaN", False), ("1e400", False),
+    ("#5", False), ("\x1c6", False), ('"1,5"', False), ('"1\n2"', False), ("\udcff", False),
+    ("0." + "0" * 30 + "1", False),  # longer than FIELD_LIMIT
+]
+LABEL_CELLS = [("0", True), ("1", True), (" 1 ", True), ("1.0", True), ("2", False)]
+FIELD_LIMIT = 24
+GOOD_ROW_CELLS = [c for c, good in ROW_CELLS if good]
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+def row_outcome(path, index, has_labels, whole):
+    """Row ``index`` as read: its bits, the row count if absent, or the error text.
+
+    ``whole`` picks the row from load_csv, else load_csv_row reads it.
+    """
+    try:
+        if whole:
+            data = load_csv(path, has_labels)
+            if not 0 <= index < data.n_rows:
+                raise RowOutOfRange(index, data.n_rows)
+            data = Dataset(data.feature_names, data.rows[index : index + 1],
+                           None if data.labels is None else data.labels[index : index + 1])
+        else:
+            data = load_csv_row(path, index, has_labels)
+    except DataError as exc:
+        return ("error", str(exc))
+    except RowOutOfRange as exc:
+        return ("range", exc.n_rows, str(exc))
+    labels = None if data.labels is None else data.labels.tobytes()
+    return ("ok", data.feature_names, data.rows.shape, data.rows.tobytes(), labels)
+
+
+record = st.tuples(
+    st.lists(st.sampled_from(ROW_CELLS), min_size=1, max_size=3),  # cells
+    st.sampled_from(LABEL_CELLS),
+    st.lists(st.sampled_from(["\n", "\r\n"]), max_size=2).map("".join),  # blank lines before
+    st.sampled_from(["\n", "\r\n", "\r"]),  # its line break
+)
+
+
+def csv_text(header, records, has_labels, last_break):
+    lines = [header + "\n"]
+    for k, (cells, label, blanks, brk) in enumerate(records):
+        row = [c for c, _ in cells] + ([label[0]] if has_labels else [])
+        lines.append(blanks + ",".join(row) + (brk if k < len(records) - 1 else last_break))
+    return "".join(lines).encode("utf-8", errors="surrogateescape")
+
+
+def is_good(record, has_labels):
+    cells, label, _, _ = record
+    return len(cells) == 2 and all(good for _, good in cells) and (label[1] or not has_labels)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    records=st.lists(record, min_size=0, max_size=7),
+    has_labels=st.booleans(),
+    header=st.sampled_from(["a,b", " a , b ", '"a",b', "a,a"]),
+    last_break=st.sampled_from(["", "\n", "\r\n"]),
+    index=st.integers(-1, 8),
+    chunk=st.sampled_from([1, 2, 7, 64, 1 << 20]),
+)
+@example(
+    records=[([("1", True), ("2", True)], ("0", True), "", "\n")] * 3,
+    has_labels=False, header="a,b", last_break="\n", index=1, chunk=1 << 20,
+)
+def test_load_csv_row_is_the_row_of_load_csv(records, has_labels, header, last_break, index,
+                                              chunk):
+    header = header + (",label" if has_labels else "")
+    made_good = [
+        r if k == index or is_good(r, has_labels)
+        else ([("1", True), ("2", True)], ("0", True), r[2], r[3])
+        for k, r in enumerate(records)
+    ]
+    with tempfile.TemporaryDirectory() as tmp, field_size_limit(FIELD_LIMIT), \
+            mock.patch.object(anomex.data, "_ROW_SCAN_BYTES", chunk):
+        p = Path(tmp) / "rows.csv"
+        p.write_bytes(csv_text(header, made_good, has_labels, last_break))
+        if_read_alone = row_outcome(p, index, has_labels, whole=True)
+        p.write_bytes(csv_text(header, records, has_labels, last_break))
+        whole = row_outcome(p, index, has_labels, whole=True)
+        got = row_outcome(p, index, has_labels, whole=False)
+    assert got in (whole, if_read_alone)
+    if made_good == records:
+        assert got == whole
+
+
+def test_load_csv_row_reads_only_its_row(tmp_path, monkeypatch):
+    def whole_file(*args, **kwargs):
+        raise AssertionError("a plain file must not be read whole")
+
+    monkeypatch.setattr(anomex.data, "load_csv", whole_file)
+    monkeypatch.setattr(anomex.data, "_ROW_SCAN_BYTES", 8)
+    p = tmp_path / "plain.csv"
+    p.write_bytes(b"a,b,label\r\n1,2,0\r\nbad,row,7\r\n3.5,-4,1\r\nx,y\r\n")
+    data = load_csv_row(p, 2, has_labels=True)
+    assert data.feature_names == ("a", "b")
+    assert data.rows.tolist() == [[3.5, -4.0]] and data.labels.tolist() == [1]
+    with pytest.raises(DataError, match=r"non-numeric cell 'bad' at row 2, column 'a'"):
+        load_csv_row(p, 1, has_labels=True)
+    with pytest.raises(RowOutOfRange, match=r"row 4 out of range \[0, 4\)"):
+        load_csv_row(p, 4, has_labels=True)
+
+
+def test_load_csv_row_reads_the_whole_file_after_an_overlong_line(tmp_path):
+    # csv.reader refuses the cell of row 0, so load_csv_row reports it as load_csv does
+    p = tmp_path / "long.csv"
+    p.write_text("a\n0." + "0" * csv.field_size_limit() + "1\n2\n")
+    with pytest.raises(DataError) as whole:
+        load_csv(p)
+    assert "line 2: field larger than field limit" in str(whole.value)
+    with pytest.raises(DataError, match=re.escape(str(whole.value))):
+        load_csv_row(p, 1)
+
+
+def test_load_csv_row_errors_match_load_csv(tmp_path):
+    with pytest.raises(DataError, match="no such file"):
+        load_csv_row(tmp_path / "absent.csv", 0)
+    p = tmp_path / "t.csv"
+    for body in (b"", b"a,b\n", b"a,b\r\n", b"a,b"):
+        p.write_bytes(body)
+        with pytest.raises(DataError) as whole:
+            load_csv(p)
+        with pytest.raises(DataError, match=re.escape(str(whole.value))):
+            load_csv_row(p, 0)
+    p.write_bytes(b"a,b\n1,2\n")
+    with pytest.raises(DataError, match="expected trailing 'label' column, got 'b'"):
+        load_csv_row(p, 5, has_labels=True)
+
+
+def test_blank_header_with_labels_is_a_data_error(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text("\n1,2\n")
+    for loader in (load_csv, lambda path, has_labels: load_csv_row(path, 0, has_labels)):
+        with pytest.raises(DataError, match="expected trailing 'label' column, got ''"):
+            loader(p, has_labels=True)
 
 
 # -- quantile grid ------------------------------------------------------------

@@ -12,11 +12,13 @@ from anomex.detectors import (
     _BLOCK_ROWS,
     _COALITION_BLOCK_ROWS,
     MAX_SUBSAMPLE,
+    MODEL_FORMAT_VERSION,
     IsolationForest,
     Loda,
     average_precision,
     expected_path_length,
     load_model,
+    read_model,
     save_model,
 )
 from anomex.errors import DataError, ModelError
@@ -625,9 +627,70 @@ def test_forest_document_is_resaved_as_written(tmp_path, model_documents):
     tree["feature"][leaf], tree["threshold"][leaf] = 2, 7.5
     edited, resaved = tmp_path / "edited.json", tmp_path / "resaved.json"
     edited.write_text(json.dumps(doc, sort_keys=True))
-    model, threshold, contamination = load_model(edited)
-    save_model(model, threshold, contamination, resaved)
+    model, threshold, contamination, grid = read_model(edited)
+    save_model(model, threshold, contamination, resaved, grid)
     assert resaved.read_bytes() == edited.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["iforest", "loda"])
+def test_stored_grid_round_trips_bit_for_bit(tmp_path, gaussian_data, kind):
+    if kind == "iforest":
+        model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=3)
+    else:
+        model = Loda.fit(gaussian_data, projections=5, bins=10, seed=3)
+    grid = build_quantile_grid(gaussian_data, 17)
+    path = tmp_path / "model.json"
+    save_model(model, 0.25, 0.1, path, grid)
+    saved = read_model(path)
+    assert saved.grid.values.tobytes() == grid.values.tobytes()
+    assert saved.grid.levels.tobytes() == grid.levels.tobytes()
+    assert (saved.threshold, saved.contamination) == (0.25, 0.1)
+    # load_model keeps its three-field return
+    detector, threshold, contamination = load_model(path)
+    assert detector.feature_names == model.feature_names
+    assert json.loads(path.read_text())["format_version"] == MODEL_FORMAT_VERSION == 2
+    resaved = tmp_path / "resaved.json"
+    save_model(*saved[:3], resaved, saved.grid)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_version_1_document_loads_without_a_grid(tmp_path, model_documents):
+    doc = copy.deepcopy(model_documents["iforest"][0])
+    del doc["grid"]
+    doc["format_version"] = 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    saved = read_model(path)
+    assert saved.grid is None
+    assert saved.detector.n_trees == 3
+
+
+def test_save_model_rejects_a_grid_of_other_features(tmp_path, gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=3, subsample=16, seed=1)
+    grid = build_quantile_grid(make_dataset(gaussian_data.rows[:, :2]), 5)
+    with pytest.raises(ModelError, match="grid has 2 features"):
+        save_model(model, 0.5, 0.1, tmp_path / "m.json", grid)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda g: g.pop(), r"'grid' must be \(3, K >= 2\)"),
+        (lambda g: [row.__delitem__(slice(1, None)) for row in g], r"got shape \(3, 1\)"),
+        (lambda g: g[1].__setitem__(0, float("inf")), "non-finite"),
+        (lambda g: g[2].reverse(), "non-decreasing"),
+        (lambda g: g[0].append(1.0), "not a numeric array"),
+        (lambda g: g.__setitem__(slice(None), [1.0, 2.0]), "2-dimensional"),
+    ],
+    ids=["features", "one-level", "inf", "decreasing", "ragged", "flat-list"],
+)
+def test_bad_stored_grid_is_a_model_error(tmp_path, model_documents, edit, message):
+    doc = copy.deepcopy(model_documents["iforest"][0])
+    edit(doc["grid"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=message):
+        load_model(path)
 
 
 def test_load_model_rejects_garbage(tmp_path):
@@ -649,6 +712,16 @@ def test_load_model_rejects_unknown_version(tmp_path):
         load_model(p)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "2", None])
+def test_load_model_rejects_a_version_that_is_not_an_integer(tmp_path, model_documents, version):
+    doc = copy.deepcopy(model_documents["iforest"][0])
+    doc["format_version"] = version
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match="unsupported format version"):
+        load_model(path)
+
+
 def saved_document(tmp_path_factory, kind):
     rng = np.random.default_rng(11)
     data = make_dataset(rng.normal(size=(200, 3)))
@@ -657,7 +730,7 @@ def saved_document(tmp_path_factory, kind):
     else:
         model = Loda.fit(data, projections=3, bins=4, seed=2)
     path = tmp_path_factory.mktemp(kind) / "model.json"
-    save_model(model, 0.5, 0.1, path)
+    save_model(model, 0.5, 0.1, path, build_quantile_grid(data, 5))
     return json.loads(path.read_text()), data
 
 
@@ -706,9 +779,12 @@ def test_corrupted_model_documents_fail_as_model_error(tmp_path, model_documents
     path = tmp_path / "corrupt.json"
     path.write_text(json.dumps(doc))
     try:
-        model, threshold, _ = load_model(path)
+        model, threshold, _, grid = read_model(path)
     except ModelError:
         return
+    # a grid that still loads is one to sweep: (d, K >= 2), finite, non-decreasing
+    if grid is not None:
+        assert grid.values.shape[0] == len(model.feature_names) and grid.n_levels >= 2
     # a document that still loads must score like a model: finite, in range
     scores = model.score(np.resize(data.rows, (5, len(model.feature_names))))
     assert np.isfinite(scores).all() and np.isfinite(threshold)

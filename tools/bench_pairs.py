@@ -20,8 +20,11 @@ The file holds the last JSON line of every run under
 ``workloads[W]["pairs"]`` and ``["held_out"]``, and per end-to-end metric
 of BENCHMARK.json the medians and quartiles of each side
 (``statistics.quantiles(n=4)``), the change's median over the parent's
-minus one, and how many pairs read lower with the change. It is rewritten
-after every run, so an interrupted session keeps what it measured.
+minus one, how many pairs read lower with the change, and a verdict
+(see ``verdict``). It is rewritten after every run, so an interrupted
+session keeps what it measured. A run that exits non-zero or reports
+``"correct": false`` stops the session with its stderr tail; it is never
+counted as a sample.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # Per-run limit: 40 s of cycles plus setup, warm-up and the last cycle.
 RUN_TIMEOUT_S = 900
+# Characters of a failed run's stderr shown in the error.
+STDERR_TAIL = 2000
+# Share of pairs the change must win for a gain (choosing-metrics, section 8).
+GAIN_SHARE = 0.9
 
 
 def _git(*args: str) -> str:
@@ -66,9 +73,14 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
     lines = proc.stdout.splitlines()
-    if not lines:
-        raise RuntimeError(f"{workload} seed {seed} in {checkout} printed nothing:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+    if result is None or result.get("correct") is not True:
+        last = lines[-1] if lines else None
+        raise RuntimeError(
+            f"{workload} seed {seed} in {checkout} failed (exit code {proc.returncode}, "
+            f"last line {last!r}); stderr ends:\n{proc.stderr[-STDERR_TAIL:]}"
+        )
+    return result
 
 
 def run_pair(checkouts: dict[str, Path], workload: str, seed: int, first: str) -> dict:
@@ -85,11 +97,14 @@ def _value(run: dict, metric: str) -> float | None:
     return None if entry is None else entry["value"]
 
 
-def summarize(pairs: list[dict], metrics: list[str]) -> dict:
-    """Per metric: each side's median and quartiles, the ratio, lower-in-pairs."""
+def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
+    """Per end-to-end metric of BENCHMARK.json (all lower-is-better): each side's
+    median and quartiles, the ratio of the medians, in how many pairs the change
+    reads lower, and a verdict."""
     out = {}
     for metric in metrics:
-        both = [(_value(p["parent"], metric), _value(p["change"], metric)) for p in pairs]
+        name = metric["name"]
+        both = [(_value(p["parent"], name), _value(p["change"], name)) for p in pairs]
         both = [(a, b) for a, b in both if a is not None and b is not None]
         if len(both) < 2:  # statistics.quantiles needs two samples
             continue
@@ -100,16 +115,37 @@ def summarize(pairs: list[dict], metrics: list[str]) -> dict:
         entry["change_over_parent"] = entry["change_median"] / entry["parent_median"] - 1
         entry["change_lower_in_pairs"] = sum(b < a for a, b in both)
         entry["pairs"] = len(both)
-        out[metric] = entry
+        entry["verdict"] = verdict(entry, metric["bound"])
+        out[name] = entry
     return out
 
 
-def held_out_ratios(pair: dict, metrics: list[str]) -> dict:
+def verdict(entry: dict, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``no change`` for one summarized metric.
+
+    A gain is a change lower in at least GAIN_SHARE of the pairs whose
+    median is below the parent's by more than the parent's Q3 - Q1. Worse
+    is a median above the parent's by more than ``bound`` of it.
+    Unresolved is a parent whose Q3 - Q1 is wider than ``bound`` of its
+    median, so a change within the bound cannot be told from noise.
+    """
+    parent, change = entry["parent_median"], entry["change_median"]
+    spread = entry["parent_q3"] - entry["parent_q1"]
+    if entry["change_lower_in_pairs"] >= GAIN_SHARE * entry["pairs"] and parent - change > spread:
+        return "gain"
+    if change - parent > bound * parent:
+        return "worse"
+    if spread > bound * parent:
+        return "unresolved"
+    return "no change"
+
+
+def held_out_ratios(pair: dict, metrics: list[dict]) -> dict:
     ratios = {}
     for metric in metrics:
-        a, b = _value(pair["parent"], metric), _value(pair["change"], metric)
+        a, b = _value(pair["parent"], metric["name"]), _value(pair["change"], metric["name"])
         if a is not None and b is not None:
-            ratios[metric] = b / a - 1
+            ratios[metric["name"]] = b / a - 1
     return ratios
 
 
@@ -146,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--first-seed", type=int, default=1001)
     parser.add_argument("--held-out-seed", type=int, default=4242)
     args = parser.parse_args(argv)
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     doc = {
         "description": (
