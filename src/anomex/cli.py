@@ -270,6 +270,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     if not 0.0 < args.contamination < 1.0:
         raise UsageError(f"--contamination must be in (0, 1), got {args.contamination}")
+    if args.quantiles < 2:
+        raise UsageError(f"--quantiles must be >= 2, got {args.quantiles}")
     data = load_csv(args.input, has_labels=args.has_labels)
     if args.model == "iforest":
         detector = IsolationForest.fit(data, trees=args.trees, subsample=args.subsample, seed=seed)
@@ -330,6 +332,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_overall(args: argparse.Namespace) -> int:
+    if not 0.0 < args.cutoff < 1.0:
+        raise UsageError(f"--cutoff must be in (0, 1), got {args.cutoff}")
+    if args.positions is not None and args.positions < 1:
+        raise UsageError(f"--positions must be >= 1, got {args.positions}")
     detector, threshold, _, grid = read_model(args.model)
     _check_stored_grid(grid, args.quantiles)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)

@@ -11,9 +11,13 @@ Everything downstream works with three primitives defined here:
   Anomalous; classification is strict (a score exactly on the threshold
   is Normal).
 
-CSV files are read whole by ``load_csv``. ``load_csv_row`` reads the
-header and one row only, with the same values and error texts for what
-it reads; the other rows are not validated.
+One reader serves ``load_csv`` (every row) and ``load_csv_row`` (the
+header and one row, the others not validated). A plain file (see
+``_record`` for its header line, ``_plain_line_ends`` for the rest) is
+scanned in binary blocks: a whole read streams its lines into
+``np.loadtxt``, a row read stops at its row. Any other file takes the
+exact path, csv.reader record by record, where a row read still reads
+every record but parses only its own.
 
 All types are immutable after construction and safe for concurrent
 readers.
@@ -27,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -143,34 +147,47 @@ def load_csv(path: str | Path, has_labels: bool = False) -> Dataset:
     hold 0/1 values; it is split off from the features. Cells must parse
     as finite numbers; any syntax ``float()`` accepts is accepted.
     """
+    return _read(path, None, has_labels)
+
+
+def load_csv_row(path: str | Path, index: int, has_labels: bool = False) -> Dataset:
+    """Row ``index`` of ``load_csv(path, has_labels)``, as a one-row Dataset.
+
+    Only the header and that row are parsed, with the values, error
+    messages and row numbers of ``load_csv``; the other rows are not
+    validated. A plain file is read up to that row and no further.
+
+    RowOutOfRange if there is no row ``index``; every line is then counted.
+    """
+    return _read(path, index, has_labels)
+
+
+def _read(path: str | Path, index: int | None, has_labels: bool) -> Dataset:
+    """Every row of ``path`` (``index`` None) or its row ``index``, checked.
+
+    ``_read_plain`` reads a plain file, ``_read_exact`` any file it
+    refuses; the checks below then word every error the same way.
+    """
     path = Path(path)
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: empty file, expected a header row") from None
-            header = [h.strip() for h in header]
-            values = _parse_plain_body(fh, len(header))
-            if values is None:
-                fh.seek(0)
-                reader = csv.reader(fh)
-                next(reader)
-                raw_rows = [row for row in reader if row]
-    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    except UnicodeDecodeError:
-        raise DataError(f"{path}: line {_first_non_utf8_line(path)} is not valid UTF-8") from None
-
+        header, n_rows, body = _read_plain(path, index)
+    except ValueError:
+        header, n_rows, body = _read_exact(path, index)
+    if header is None:
+        raise DataError(f"{path}: empty file, expected a header row")
+    header = [h.strip() for h in header]
     names = _feature_columns(path, header, has_labels)
-    if values is None:
-        if not raw_rows:
-            raise DataError(f"{path}: no data rows")
-        values = _parse_cells(path, header, raw_rows)
-    return _dataset(path, names, values, has_labels)
+    if n_rows == 0:
+        raise DataError(f"{path}: no data rows")
+    first = 0 if index is None else index
+    if not 0 <= first < n_rows:
+        _check_unique(names)  # as a whole read's Dataset would
+        raise RowOutOfRange(first, n_rows)
+    if not isinstance(body, np.ndarray):
+        body = _parse_cells(path, header, body, first)
+    return _dataset(path, names, body, has_labels, first)
 
 
 def _feature_columns(path: Path, header: list[str], has_labels: bool) -> list[str]:
@@ -186,7 +203,7 @@ def _feature_columns(path: Path, header: list[str], has_labels: bool) -> list[st
 
 
 def _dataset(
-    path: Path, names: list[str], values: np.ndarray, has_labels: bool, first: int = 0
+    path: Path, names: list[str], values: np.ndarray, has_labels: bool, first: int
 ) -> Dataset:
     """A Dataset of parsed cells whose row 0 is the file's row ``first``; checks labels."""
     if not has_labels:
@@ -198,126 +215,146 @@ def _dataset(
     return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
 
 
-# Bytes read per step of load_csv_row's scan for its row: per-step Python
-# is negligible at this size, and memory stays flat. On the 20 MB 20000x50
-# criterion-7 file an `anomex explain` process peaks at 38 MB this way; a
-# prototype that read and split the whole file peaked at 73 MB.
+def _read_exact(path: Path, index: int | None) -> tuple[list[str] | None, int, list]:
+    """The header, row count and records of ``path``, all read by csv.reader.
+
+    Every record is read, so a csv.Error or a line that is not UTF-8 is a
+    DataError wherever it is; only row ``index`` (or every row) is kept.
+    """
+    kept, n_rows = [], 0
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            for record in reader:
+                if record:  # csv.reader makes a blank line an empty record
+                    if index is None or n_rows == index:
+                        kept.append(record)
+                    n_rows += 1
+    except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: line {_first_non_utf8_line(path)} is not valid UTF-8") from None
+    return header, n_rows, kept
+
+
+def _read_plain(path: Path, index: int | None) -> tuple[list[str], int, np.ndarray | list]:
+    """The header, row count and body of a plain file, from its line scan.
+
+    A whole read streams the body into one ``np.loadtxt`` call; a row read
+    decodes row ``index`` only and stops there, counting ``index + 1`` rows.
+    ValueError wherever ``_read_exact`` must read the file instead.
+    """
+    with path.open("rb") as fh:
+        line = fh.readline()
+        if not line:
+            raise ValueError("an empty file")
+        header = _record(line)
+        scan = _plain_blocks(fh)
+        if index is not None:
+            seen = 0  # rows before `block`
+            for block, starts, ends in scan:
+                k = index - seen
+                if 0 <= k < starts.size:
+                    return header, index + 1, [_record(block[starts[k] : ends[k] + 1])]
+                seen += starts.size
+            return header, seen, []
+        lines = (
+            block[s:e]
+            for block, starts, ends in scan
+            for s, e in zip(starts.tolist(), ends.tolist())
+        )
+        first = next(lines, None)
+        if first is None:  # loadtxt would warn that the input holds no data
+            return header, 0, []
+        # comments=None: with numpy's default a '#...' row would be dropped
+        values = np.loadtxt(
+            map(bytes.decode, itertools.chain((first,), lines)),
+            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+        )
+    # numpy rounds like float(), so finite values of the right width are
+    # bit-identical to _parse_cells'; anything else needs its error text
+    if values.shape[1] != len(header) or not np.isfinite(values).all():
+        raise ValueError("the body needs the per-cell checks")
+    return header, values.shape[0], values
+
+
+def _record(line: bytes) -> list[str]:
+    """The csv.reader record of one line; ValueError unless it ends there.
+
+    csv.Error here is a bare \\r, which ends a record early, or a cell over
+    the field limit; a line break in a cell is a quote left open.
+    """
+    try:
+        (record,) = csv.reader([line.decode("utf-8")])
+    except csv.Error as exc:
+        raise ValueError(exc) from None
+    if any("\n" in cell for cell in record):
+        raise ValueError("a record that goes on past its line")
+    return record
+
+
+# Bytes read per step of the line scan: per-step Python is negligible at
+# this size, and memory stays flat. On the 20 MB 20000x50 criterion-7 file
+# an `anomex explain` process peaks at 38 MB this way; a prototype that
+# read and split the whole file peaked at 73 MB.
 _ROW_SCAN_BYTES = 1 << 20
 
-# Bytes that send load_csv_row to load_csv: with them, records may not be
-# the lines split at b"\n". A quote can hold a line break; str.splitlines
-# breaks lines at \x1c-\x1f, and load_csv sends them down its per-cell path.
+# Bytes that make a line not plain. A quote can hold a line break or a
+# comma; loadtxt strips \x1c-\x1f around a cell as whitespace, which
+# float() rejects.
 _UNLIKE_CSV = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def load_csv_row(path: str | Path, index: int, has_labels: bool = False) -> Dataset:
-    """Row ``index`` of ``load_csv(path, has_labels)``, as a one-row Dataset.
+def _plain_blocks(fh: BinaryIO) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
+    """Blocks of whole lines from ``fh``, with where their non-blank lines start and end.
 
-    Only the header and that row are parsed: the file is scanned in binary
-    chunks for its line breaks, and the two lines go through the csv
-    reader, cell checks and label check of ``load_csv``, so values, error
-    messages and row numbers are the same. Rows that are not read are not
-    validated. Where csv.reader may split records other than at line
-    breaks (a quote, a bare \\r, a blank line, a \\x1c-\\x1f byte or a line
-    longer than ``csv.field_size_limit()`` in the scanned part) or a line
-    read is not UTF-8, the whole file goes through ``load_csv`` instead.
-
-    RowOutOfRange if there is no row ``index``; every line is then counted.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"no such file: {path}")
-    scan = _scan_for_row(path, index)
-    if scan is not None:
-        header_line, row_line, n_rows = scan
-        lines = [header_line] if row_line is None else [header_line, row_line]
-        try:
-            head, *cells = csv.reader([line.decode("utf-8") for line in lines])
-        except (UnicodeDecodeError, csv.Error):
-            scan = None
-    if scan is None:
-        data = load_csv(path, has_labels=has_labels)
-        if not 0 <= index < data.n_rows:
-            raise RowOutOfRange(index, data.n_rows)
-        labels = None if data.labels is None else data.labels[index : index + 1]
-        return Dataset(data.feature_names, data.rows[index : index + 1], labels)
-    header = [h.strip() for h in head]
-    names = _feature_columns(path, header, has_labels)
-    if row_line is None:
-        if n_rows == 0:
-            raise DataError(f"{path}: no data rows")
-        _check_unique(names)  # as load_csv's Dataset would
-        raise RowOutOfRange(index, n_rows)
-    return _dataset(path, names, _parse_cells(path, header, cells, first=index), has_labels,
-                    first=index)
-
-
-def _scan_for_row(path: Path, index: int) -> tuple[bytes, bytes | None, int] | None:
-    """The header line, row ``index``'s line or None, and the rows counted.
-
-    Lines keep their line break. Without row ``index`` the count is that
-    of every row in the file. None where a chunk read is not plain (see
-    ``_plain_line_ends``) or the file has no header line.
+    Blocks are read ``_ROW_SCAN_BYTES`` at a time and cut after their
+    last line break; a block of blank lines only is not yielded.
+    ValueError at the first line that is not plain.
     """
     limit = csv.field_size_limit()
-    target = index + 1 if index >= 0 else -1  # line number; the header is line 0
-    header = None
-    seen = 0  # lines before `block`
     carry = b""  # the unfinished line at the end of the last chunk
-    with path.open("rb") as fh:
-        while True:
-            chunk = fh.read(_ROW_SCAN_BYTES)
-            if chunk:
-                block = carry + chunk
-                cut = block.rfind(b"\n") + 1
-                block, carry = block[:cut], block[cut:]
-                if len(carry) > limit:
-                    return None
-            else:
-                block = carry  # the last line, which lacks a line break
-            ends = _plain_line_ends(block, limit)
-            if ends is None:
-                return None
-            if header is None and ends.size:
-                header = block[: ends[0] + 1]
-            k = target - seen
-            if 0 <= k < ends.size:
-                start = ends[k - 1] + 1 if k else 0
-                return header, block[start : ends[k] + 1], 0
-            seen += ends.size
-            if not chunk:
-                return None if header is None else (header, None, seen - 1)
+    while True:
+        chunk = fh.read(_ROW_SCAN_BYTES)
+        block = carry + chunk
+        cut = block.rfind(b"\n") + 1 if chunk else len(block)
+        block, carry = block[:cut], block[cut:]
+        if len(carry) > limit:
+            raise ValueError("a line longer than csv.field_size_limit()")
+        starts, ends = _plain_line_ends(block, limit)
+        if starts.size:
+            yield block, starts, ends
+        if not chunk:
+            return
 
 
-def _plain_line_ends(block: bytes, limit: int) -> np.ndarray | None:
-    """Where each line of ``block`` ends, or None unless every line is plain.
+def _plain_line_ends(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each non-blank line of ``block`` starts and ends; ValueError unless all are plain.
 
     ``block`` holds whole lines from a line start; a line ends at its
-    b"\\n", or at the end of ``block`` if it has none. A plain line is not
-    blank, holds no byte of ``_UNLIKE_CSV``, has a \\r only before its
-    \\n and is at most ``limit`` bytes long, so csv.reader makes it one
-    record and none of its cells exceeds ``csv.field_size_limit()``.
+    b"\\n" (not at the \\x0b, \\x0c, \\x85 or \\u2028 of str.splitlines,
+    which csv.reader keeps in a cell), or at the end of ``block``. A blank
+    line (empty, or a lone \\r before its \\n) is skipped, as csv.reader
+    skips it. A plain line holds no byte of ``_UNLIKE_CSV``, has a \\r only
+    before its \\n and is at most ``limit`` bytes long, so csv.reader makes
+    it one record, none of whose cells exceeds ``csv.field_size_limit()``.
     """
     if not block:
-        return np.empty(0, dtype=np.intp)
-    if any(s in block for s in _UNLIKE_CSV):
-        return None
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     a = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(a == ord("\n"))
+    crlf = np.count_nonzero(a[ends[ends > 0] - 1] == ord("\r"))
+    if any(s in block for s in _UNLIKE_CSV) or np.count_nonzero(a == ord("\r")) != crlf:
+        raise ValueError("a quote, a \\x1c-\\x1f byte or a bare \\r, which ends a record")
     if not block.endswith(b"\n"):
         ends = np.append(ends, a.size)
     starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = ends - starts
-    terminated = ends[ends < a.size]
-    crlf = np.count_nonzero(a[terminated[terminated > 0] - 1] == ord("\r"))
-    if (
-        np.count_nonzero(a == ord("\r")) != crlf  # a bare \r ends a record
-        or (lengths == 0).any()
-        or ((lengths == 1) & (a[starts] == ord("\r"))).any()
-        or (lengths > limit).any()
-    ):
-        return None
-    return ends
+    if (lengths > limit).any():
+        raise ValueError("a line longer than csv.field_size_limit()")
+    blank = (lengths == 0) | ((lengths == 1) & (a[starts] == ord("\r")))
+    return starts[~blank], ends[~blank]
 
 
 def _first_non_utf8_line(path: Path) -> int:
@@ -333,53 +370,6 @@ def _first_non_utf8_line(path: Path) -> int:
     except UnicodeDecodeError as exc:
         bad = exc.start
     return raw.count(b"\n", 0, bad) + 1
-
-
-def _parse_plain_body(lines: Iterator[str], width: int) -> np.ndarray | None:
-    """Parse the rows after the header in one numpy call, or return None.
-
-    Succeeds only on a body of unquoted decimal cells that yields at least
-    one row, exactly ``width`` columns and no non-finite value; numpy
-    rounds like ``float()``, so the values are bit-identical to
-    ``_parse_cells``. Anything else returns None and the caller falls back
-    to ``_parse_cells``, which accepts every syntax ``float()`` does and
-    words the error for a bad row or cell.
-    """
-    lines = _reject_unlike_csv(lines)
-    try:
-        # Blank lines are skipped by csv.reader and by loadtxt alike; peeking
-        # past them avoids loadtxt's "input contained no data" warning.
-        first = next((line for line in lines if line.strip("\r\n")), None)
-        if first is None:
-            return None
-        # comments=None: with numpy's default a '#...' row would be dropped
-        values = np.loadtxt(
-            itertools.chain((first,), lines),
-            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
-        )
-    except ValueError:
-        return None
-    if values.shape[1] != width or not np.isfinite(values).all():
-        return None
-    return values
-
-
-def _reject_unlike_csv(lines: Iterator[str]) -> Iterator[str]:
-    """Pass lines through, raising ValueError where loadtxt and csv differ.
-
-    loadtxt strips ASCII \\x1c-\\x1f around a cell as whitespace, but
-    ``float()`` rejects them; csv.reader raises on a cell longer than
-    ``csv.field_size_limit()``, which loadtxt parses. Such lines must take
-    the per-cell path, which behaves as the csv module does.
-    """
-    limit = csv.field_size_limit()
-    for line in lines:
-        if (
-            len(line) > limit
-            or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line
-        ):
-            raise ValueError("line needs the per-cell path")
-        yield line
 
 
 def _parse_cells(

@@ -350,6 +350,25 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["overall", "--cutoff", "1.5"], "--cutoff must be in (0, 1), got 1.5"),
+    (["overall", "--cutoff", "0"], "--cutoff must be in (0, 1), got 0.0"),
+    (["overall", "--positions", "0"], "--positions must be >= 1, got 0"),
+    (["fit", "--model", "iforest", "--seed", "1", "--quantiles", "1"],
+     "--quantiles must be >= 2, got 1"),
+])
+def test_usage_error_bad_flag_before_any_input_is_read(workspace, tmp_path, capsys, argv,
+                                                         message):
+    # the input does not exist, so reading it first would be a data error (exit 2)
+    _, _, model = workspace
+    model_flag = ["--model", str(model)] if argv[0] == "overall" else []
+    out = tmp_path / "out.json"
+    assert invoke(*argv, *model_flag, "--input", str(tmp_path / "absent.csv"),
+                  "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"anomex: usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_seed_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "17")
     out_env = tmp_path / "env.csv"

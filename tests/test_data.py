@@ -289,6 +289,7 @@ CELL_ALPHABET = [
 ]
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1 << 20])
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -300,11 +301,25 @@ CELL_ALPHABET = [
     ),
     st.sampled_from(["\n", "\r\n"]),
 )
-def test_load_csv_fuzzed_bodies_match_reference(lines, newline):
-    with tempfile.TemporaryDirectory() as tmp:
+def test_load_csv_fuzzed_bodies_match_reference(chunk, lines, newline):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(anomex.data, "_ROW_SCAN_BYTES", chunk):
         p = Path(tmp) / "fuzz.csv"
         p.write_bytes(newline.join(["a,b", *lines]).encode("utf-8") + newline.encode())
         assert load_outcome(load_csv, p, False) == load_outcome(reference_load_csv, p, False)
+
+
+@pytest.mark.parametrize("body", ["1\x0c2\n", "1\x0b2\n", "1\x852\n", "1\u20282\n"])
+def test_line_breaks_of_str_splitlines_do_not_split_records(tmp_path, body):
+    # csv.reader splits records at \r and \n only; str.splitlines also splits
+    # at these, which would read two rows [1.0, 2.0] out of one bad cell
+    p = tmp_path / "one.csv"
+    p.write_bytes(("a\n" + body).encode("utf-8"))
+    reference = load_outcome(reference_load_csv, p, False)
+    assert reference[0] == "error" and "non-numeric cell" in reference[2]
+    assert load_outcome(load_csv, p, False) == reference
+    with pytest.raises(DataError, match=re.escape(reference[2])):
+        load_csv_row(p, 0)
 
 
 def test_load_csv_overlong_cell_matches_reference(tmp_path):
@@ -438,10 +453,10 @@ def test_load_csv_row_is_the_row_of_load_csv(records, has_labels, header, last_b
 
 
 def test_load_csv_row_reads_only_its_row(tmp_path, monkeypatch):
-    def whole_file(*args, **kwargs):
-        raise AssertionError("a plain file must not be read whole")
+    def exact(*args):
+        raise AssertionError("a plain file must be read by the line scan")
 
-    monkeypatch.setattr(anomex.data, "load_csv", whole_file)
+    monkeypatch.setattr(anomex.data, "_read_exact", exact)
     monkeypatch.setattr(anomex.data, "_ROW_SCAN_BYTES", 8)
     p = tmp_path / "plain.csv"
     p.write_bytes(b"a,b,label\r\n1,2,0\r\nbad,row,7\r\n3.5,-4,1\r\nx,y\r\n")
@@ -452,6 +467,39 @@ def test_load_csv_row_reads_only_its_row(tmp_path, monkeypatch):
         load_csv_row(p, 1, has_labels=True)
     with pytest.raises(RowOutOfRange, match=r"row 4 out of range \[0, 4\)"):
         load_csv_row(p, 4, has_labels=True)
+    # a whole read of a plain file, blank lines included, takes the line scan too
+    p.write_bytes(b"a,b,label\r\n1,2,0\r\n\r\n\n3.5,-4,1\n")
+    data = load_csv(p, has_labels=True)
+    assert data.rows.tolist() == [[1.0, 2.0], [3.5, -4.0]] and data.labels.tolist() == [0, 1]
+
+
+# header lines csv.reader reads alone as it reads them in the file, and ones
+# it would end elsewhere there: a quote left open, a bare \r
+HEADER_LINES = [
+    '"a,b",c', '"a\nb",c', '"a\r\nb",c', '"open,c', "a\rb,c", "\rb,c", "", 'a"b,c',
+    '\x1ca,b', ' "a" ,b', '"a\rb",c',
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 20])
+@pytest.mark.parametrize("header", HEADER_LINES)
+def test_header_lines_match_reference(tmp_path, monkeypatch, header, chunk):
+    monkeypatch.setattr(anomex.data, "_ROW_SCAN_BYTES", chunk)
+    p = tmp_path / "header.csv"
+    p.write_bytes((header + "\n1,2\n\n1,2\n").encode("utf-8"))
+    assert load_outcome(load_csv, p, False) == load_outcome(reference_load_csv, p, False)
+    assert row_outcome(p, 0, False, whole=False) == row_outcome(p, 0, False, whole=True)
+
+
+def test_header_cell_over_the_field_limit_is_reported_as_csv_reader_reports_it(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("a" * (csv.field_size_limit() + 1) + ",b\n1,2\n")
+    reference = load_outcome(reference_load_csv, p, False)
+    assert reference[:2] == ("error", "Error")
+    expected = ("error", "DataError", f"{p}: line 1: {reference[2]}")
+    assert load_outcome(load_csv, p, False) == expected
+    assert load_outcome(lambda path, has_labels: load_csv_row(path, 0, has_labels), p,
+                        False) == expected
 
 
 def test_load_csv_row_reads_the_whole_file_after_an_overlong_line(tmp_path):
