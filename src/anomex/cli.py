@@ -49,7 +49,13 @@ from anomex.detectors import (
 )
 from anomex.errors import DataError, ModelError, NumericError
 from anomex.explainer import explain, explanation_to_dict, validate_weights
-from anomex.shap_baseline import kernel_shap, sample_background, shap_to_dict
+from anomex.shap_baseline import (
+    check_background_fraction,
+    coalition_budget,
+    kernel_shap,
+    sample_background,
+    shap_to_dict,
+)
 from anomex.synth import SynthSpec, generate
 from anomex.viz import render_rank_bars, render_whatif
 
@@ -182,6 +188,12 @@ def _load_compatible(path: str, model_names: tuple[str, ...], has_labels: bool) 
     return data
 
 
+def _at_least(flag: str, value: int | None, minimum: int) -> None:
+    """UsageError if ``flag`` was given a value below ``minimum``."""
+    if value is not None and value < minimum:
+        raise UsageError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _pick_row(data: Dataset, row: int) -> np.ndarray:
     if not 0 <= row < data.n_rows:
         raise _row_out_of_range(row, data.n_rows)
@@ -270,8 +282,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     if not 0.0 < args.contamination < 1.0:
         raise UsageError(f"--contamination must be in (0, 1), got {args.contamination}")
-    if args.quantiles < 2:
-        raise UsageError(f"--quantiles must be >= 2, got {args.quantiles}")
+    _at_least("--quantiles", args.quantiles, 2)
     data = load_csv(args.input, has_labels=args.has_labels)
     if args.model == "iforest":
         detector = IsolationForest.fit(data, trees=args.trees, subsample=args.subsample, seed=seed)
@@ -300,6 +311,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    weights = validate_weights(args.weights.split(","))
+    _at_least("--row", args.row, 0)
     detector, threshold, _, grid = read_model(args.model)
     names = detector.feature_names
     _check_stored_grid(grid, args.quantiles)
@@ -310,7 +323,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     else:
         x = _read_row(args.input, args.row, names, args.has_labels)
         _check_spread(grid, names, "the training data")
-    weights = validate_weights(args.weights.split(","))
     expl = explain(detector.score, x, grid, weights, threshold, feature_names=names)
     # the chart is rendered first, so a bad chart flag leaves no file behind
     svg = render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
@@ -334,8 +346,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 def _cmd_overall(args: argparse.Namespace) -> int:
     if not 0.0 < args.cutoff < 1.0:
         raise UsageError(f"--cutoff must be in (0, 1), got {args.cutoff}")
-    if args.positions is not None and args.positions < 1:
-        raise UsageError(f"--positions must be >= 1, got {args.positions}")
+    _at_least("--positions", args.positions, 1)
+    weights = validate_weights(args.weights.split(","))
     detector, threshold, _, grid = read_model(args.model)
     _check_stored_grid(grid, args.quantiles)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
@@ -343,7 +355,6 @@ def _cmd_overall(args: argparse.Namespace) -> int:
         grid = _input_grid(data, args.quantiles)
     else:
         _check_spread(grid, data.feature_names, "the training data")
-    weights = validate_weights(args.weights.split(","))
     scores = detector.score(data.rows)
     if args.has_labels:
         _log_label_diagnostics(data.labels, scores, threshold)
@@ -365,11 +376,14 @@ def _cmd_overall(args: argparse.Namespace) -> int:
 
 def _cmd_shap(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
+    _at_least("--row", args.row, 0)
+    check_background_fraction(args.background_frac)
     detector, threshold, _ = load_model(args.model)
+    coalitions = coalition_budget(args.coalitions, len(detector.feature_names))
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
     x = _pick_row(data, args.row)
     background = sample_background(data, args.background_frac, seed)
-    expl = kernel_shap(detector.score, x, background, args.coalitions, seed)
+    expl = kernel_shap(detector.score, x, background, coalitions, seed)
     _write_text(args.out, _dump_json(shap_to_dict(expl, point_id=args.row, threshold=threshold)))
     print(
         f"row {args.row}: score={expl.score:.6g}, background={expl.background_size}, "

@@ -5,8 +5,9 @@ Everything downstream works with three primitives defined here:
 - ``Dataset``: a row-major float64 matrix with named features and an
   optional binary label column (1 = anomalous) kept apart from the
   features.
-- ``QuantileGrid``: per-feature empirical quantiles at K probability
-  levels — the alphabet every what-if perturbation draws its values from.
+- ``QuantileGrid``: per-feature empirical quantiles at the K levels
+  ``linspace(0, 1, K)`` — the alphabet every what-if perturbation draws
+  its values from, checked once, when the grid is built.
 - a threshold fitted on training scores that separates Normal from
   Anomalous; classification is strict (a score exactly on the threshold
   is Normal).
@@ -29,7 +30,7 @@ import csv
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
 
@@ -425,33 +426,26 @@ def save_csv(data: Dataset, path: str | Path) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuantileGrid:
-    """Per-feature empirical quantile table over K probability levels.
+    """Per-feature empirical quantile table at the K levels ``linspace(0, 1, K)``.
 
-    ``values[j, k]`` is the empirical quantile of feature j at
-    ``levels[k]``; levels are strictly increasing and span [0, 1], so
-    column 0 holds feature minima and column K-1 feature maxima.
+    ``values[j, k]`` is the empirical quantile of feature j at ``levels[k]``,
+    so column 0 holds feature minima and column K-1 feature maxima. Values
+    are (d, K >= 2), finite and non-decreasing along each feature.
     """
 
-    levels: np.ndarray
     values: np.ndarray
+    levels: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        levels = np.asarray(self.levels, dtype=np.float64)
         values = np.asarray(self.values, dtype=np.float64)
-        if levels.ndim != 1 or levels.size < 2:
-            raise ValueError("levels must be a 1-d sequence with at least two entries")
-        if not (np.diff(levels) > 0).all():
-            raise ValueError("levels must be strictly increasing")
-        if levels[0] != 0.0 or levels[-1] != 1.0:
-            raise ValueError("levels must start at 0 and end at 1")
-        if values.ndim != 2 or values.shape[1] != levels.size:
-            raise ValueError(f"values must be (d, {levels.size}), got {values.shape}")
+        if values.ndim != 2 or values.shape[1] < 2:
+            raise ValueError(f"quantile values must be (d, K >= 2), got shape {values.shape}")
         if not np.isfinite(values).all():
-            raise ValueError("quantile values must be finite")
+            raise ValueError("quantile values hold a non-finite value")
         if (np.diff(values, axis=1) < 0).any():
-            raise ValueError("quantile values must be non-decreasing per feature")
-        object.__setattr__(self, "levels", _freeze(levels))
+            raise ValueError("quantile values must be non-decreasing along each feature")
         object.__setattr__(self, "values", _freeze(values))
+        object.__setattr__(self, "levels", _freeze(np.linspace(0.0, 1.0, values.shape[1])))
 
     @property
     def n_levels(self) -> int:
@@ -463,26 +457,33 @@ class QuantileGrid:
 
 
 def build_quantile_grid(data: Dataset, k_levels: int = 51) -> QuantileGrid:
-    """Tabulate empirical quantiles of every feature at K evenly spaced levels.
+    """Tabulate empirical quantiles of every feature at K >= 2 evenly spaced levels.
 
     Quantiles interpolate linearly between order statistics, so K = 3
     yields (minimum, median, maximum) per feature. Each column is sorted
     on its own first: the order statistics are the same, and selecting
     them from a sorted copy is cheaper than from the raw column.
     """
-    if k_levels < 2:
-        raise ValueError(f"need at least 2 quantile levels, got {k_levels}")
     levels = np.linspace(0.0, 1.0, k_levels)
     values = np.empty((data.n_features, k_levels))
     for j in range(data.n_features):
         values[j] = np.quantile(np.sort(data.rows[:, j]), levels, overwrite_input=True)
-    return QuantileGrid(levels, values)
+    return QuantileGrid(values)
+
+
+def _feature_values(grid: QuantileGrid, feature: int) -> np.ndarray:
+    """Row ``feature`` of the grid; ValueError outside [0, d), which numpy would wrap."""
+    if not 0 <= feature < grid.n_features:
+        raise ValueError(f"feature {feature} out of range [0, {grid.n_features})")
+    return grid.values[feature]
 
 
 def value_at(grid: QuantileGrid, feature: int, level: float) -> float:
-    """Quantile value of ``feature`` at ``level`` (clamped to [0, 1])."""
+    """Quantile value of ``feature`` at a finite ``level`` (clamped to [0, 1])."""
+    if not math.isfinite(level):
+        raise ValueError(f"level must be finite, got {level}")
     lv = min(max(float(level), 0.0), 1.0)
-    return float(np.interp(lv, grid.levels, grid.values[feature]))
+    return float(np.interp(lv, grid.levels, _feature_values(grid, feature)))
 
 
 def level_of(grid: QuantileGrid, feature: int, value: float) -> float:
@@ -492,7 +493,8 @@ def level_of(grid: QuantileGrid, feature: int, value: float) -> float:
     range clamp to 0 or 1. On flat stretches of the quantile function the
     lowest matching level is returned.
     """
-    return float(_levels(grid.values[feature][None, :], grid.levels, np.asarray([float(value)]))[0])
+    row = _feature_values(grid, feature)[None, :]
+    return float(_levels(row, grid.levels, np.asarray([float(value)]))[0])
 
 
 def levels_of(grid: QuantileGrid, point: np.ndarray) -> np.ndarray:

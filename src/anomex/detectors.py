@@ -3,9 +3,10 @@
 Both detectors satisfy the package-wide scoring contract: ``score(X)``
 takes an (m, d) batch and returns m finite scores, higher = more
 anomalous, deterministic for a fixed seed, and safe to call concurrently
-once fitted. Fitted models persist to a versioned JSON document via
-``save_model`` / ``load_model``; format version 2 can carry the quantile
-grid of the training data, which ``read_model`` returns.
+once fitted; ``score_sweep`` takes a ``QuantileGrid`` as it is. Fitted
+models persist to a versioned JSON document via ``save_model`` /
+``load_model``; format version 2 can carry the quantile grid of the
+training data, which ``read_model`` returns.
 """
 
 from __future__ import annotations
@@ -72,17 +73,13 @@ def _one_point(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
 
 
 def _sweep_input(
-    x: np.ndarray, values: np.ndarray, names: tuple[str, ...], what: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check one point and its (d, K >= 1) sweep values; returns both as float arrays."""
+    x: np.ndarray, grid: QuantileGrid, names: tuple[str, ...], what: str
+) -> np.ndarray:
+    """Check one point and its grid's feature count; returns the point as a (d,) array."""
     point = _one_point(x, names, what)
-    d = len(names)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != d or values.shape[1] == 0:
-        raise ModelError(f"sweep values must be ({d}, K >= 1), got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise DataError(f"{what}: non-finite sweep value")
-    return point, values
+    if grid.n_features != len(names):
+        raise ModelError(f"{what}: grid has {grid.n_features} features, model has {len(names)}")
+    return point
 
 
 def _require_keys(doc: object, keys: Sequence[str], what: str) -> None:
@@ -248,28 +245,26 @@ class IsolationForest:
             out[a : a + rows.size] = self._score_of(self._walk(flat, rows[:, None] * d, node))
         return out
 
-    def score_sweep(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Scores of x with one feature at a time set to each of its values.
+    def score_sweep(self, x: np.ndarray, grid: QuantileGrid) -> np.ndarray:
+        """Scores of x with one feature at a time set to each of its grid values.
 
         Entry [j, k] equals ``score`` of x with feature j replaced by
-        ``values[j, k]``, bit for bit. A swept row differs from x in one
-        coordinate, so a tree can score it differently only if x's own
+        ``grid.values[j, k]``, bit for bit. A swept row differs from x in
+        one coordinate, so a tree can score it differently only if x's own
         path in that tree splits on the swept feature; every other tree
         keeps x's leaf. Splits are axis-parallel, so within such a
         (feature, tree) pair all values between two consecutive split
-        thresholds of that tree on that feature reach one leaf: each row
-        of values is sorted once, the pair's thresholds cut it into runs,
-        and one walker per run reads the run's first value. Within a
+        thresholds of that tree on that feature reach one leaf: a grid row
+        is non-decreasing, so the pair's thresholds cut it into runs, and
+        one walker per run reads the run's first value. Within a
         feature, a new distinct row starts at the first value and wherever
         a run of any of its pairs starts; between two such starts every
         tree reaches the same leaf. Only the distinct rows are built and
         scored, and each score is copied to every value of its row; a
         feature on no tree's path for x is one row, scored as x itself.
         """
-        point, values = _sweep_input(
-            x, values, self.feature_names, "IsolationForest.score_sweep"
-        )
-        d, k = values.shape
+        point = _sweep_input(x, grid, self.feature_names, "IsolationForest.score_sweep")
+        d, k = grid.values.shape
         n_trees = self.n_trees
 
         path, h_x = self._path(point)
@@ -277,13 +272,11 @@ class IsolationForest:
         on_path = np.zeros((d, n_trees), dtype=bool)
         on_path[self._feature.take(path[split]), np.nonzero(split)[1]] = True
 
-        order = np.argsort(values, axis=1, kind="stable")
-        ranked = np.take_along_axis(values, order, axis=1)
         scores = np.empty((d, k))
         per_block = max(1, _BLOCK_ROWS // k)
         for a in range(0, d, per_block):
             n = min(per_block, d - a)
-            swept = ranked[a : a + n]
+            swept = grid.values[a : a + n]
             # the block's on-path pairs, numbered (j - a) * n_trees + tree, and
             # the split thresholds of each
             block = on_path[a : a + n].ravel()
@@ -321,9 +314,7 @@ class IsolationForest:
             h = np.tile(h_x, (first.size, 1))
             h.reshape(-1)[cells + np.arange(cells.size) * n_trees] = np.repeat(h_run, span)
             scores[a : a + n] = self._score_of(h)[distinct].reshape(n, k)
-        out = np.empty((d, k))
-        np.put_along_axis(out, order, scores, axis=1)
-        return out
+        return scores
 
     def _coalition_scorer(
         self, x: np.ndarray, background: np.ndarray
@@ -715,17 +706,17 @@ class Loda:
                 out[a : a + log_p.shape[0]] = self._score_of(log_p)
         return out
 
-    def score_sweep(self, x: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Scores of x with one feature at a time set to each of its values.
+    def score_sweep(self, x: np.ndarray, grid: QuantileGrid) -> np.ndarray:
+        """Scores of x with one feature at a time set to each of its grid values.
 
         Entry [j, k] equals ``score`` of x with feature j replaced by
-        ``values[j, k]``, bit for bit. A swept row differs from x in one
+        ``grid.values[j, k]``, bit for bit. A swept row differs from x in one
         coordinate, so only the projections with a nonzero weight on the
         swept feature are recomputed, in the same slot order as
         ``score``; every other projection keeps x's bin.
         """
-        point, values = _sweep_input(x, values, self.feature_names, "Loda.score_sweep")
-        d, k = values.shape
+        point = _sweep_input(x, grid, self.feature_names, "Loda.score_sweep")
+        d, k = grid.values.shape
         m = self.n_projections
         out = np.empty((d, k))
         with np.errstate(over="ignore", invalid="ignore"):  # as in score
@@ -743,7 +734,7 @@ class Loda:
                 f, s, p = feat[mine], slot[mine], proj[mine]
                 # x's sum up to the swept slot plus the swept product, then the
                 # later slots in order; entries swept before slot t are a prefix
-                z = before[s, p][:, None] + values[f] * self._weights[s, p][:, None]
+                z = before[s, p][:, None] + grid.values[f] * self._weights[s, p][:, None]
                 for t in range(1, terms.shape[0]):
                     behind = np.searchsorted(s, t)
                     z[:behind] += terms[t, p[:behind]][:, None]
@@ -808,7 +799,8 @@ class Loda:
 
 
 # Version 2 adds the optional "grid": the (d, K) quantile values of the
-# training data. Its levels are linspace(0, 1, K) and are not stored.
+# training data. They are stored alone: a QuantileGrid derives its K
+# levels from the width of its values, so they come back bit for bit.
 # Version 1 documents still load, without a grid.
 MODEL_FORMAT_VERSION = 2
 _READABLE_VERSIONS = (1, 2)
@@ -880,8 +872,8 @@ def load_model(path: str | Path) -> tuple[Detector, float, float]:
 def read_model(path: str | Path) -> SavedModel:
     """Load a model JSON with its training grid; ModelError if malformed.
 
-    A stored grid must be (d, K >= 2), finite, and non-decreasing along
-    each feature.
+    A stored grid must have d rows and be a valid ``QuantileGrid``: K >= 2,
+    finite, and non-decreasing along each feature.
     """
     path = Path(path)
     if not path.is_file():
@@ -914,13 +906,12 @@ def read_model(path: str | Path) -> SavedModel:
 
 def _grid(value: object, d: int) -> QuantileGrid:
     values = _numbers(value, "'grid'", ndim=2)
-    if values.shape[0] != d or values.shape[1] < 2:
+    if values.shape[0] != d:
         raise ModelError(f"'grid' must be ({d}, K >= 2), got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ModelError("'grid' holds a non-finite value")
-    if (np.diff(values, axis=1) < 0).any():
-        raise ModelError("'grid' must be non-decreasing along each feature")
-    return QuantileGrid(np.linspace(0.0, 1.0, values.shape[1]), values)
+    try:
+        return QuantileGrid(values)
+    except ValueError as exc:
+        raise ModelError(f"'grid': {exc}") from None
 
 
 def average_precision(labels: np.ndarray, scores: np.ndarray) -> float:

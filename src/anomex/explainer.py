@@ -188,7 +188,7 @@ def explain(
     score = float(checked_scores(scorer(x[None, :]), 1, lambda _: "the explained point")[0])
     detector = bound_detector(scorer)
     if detector is not None:
-        sweep = detector.score_sweep(x, grid.values)
+        sweep = detector.score_sweep(x, grid)
     else:
         sweep = np.stack([_curve_scores(scorer, x, j, grid) for j in range(d)])
     point_levels = levels_of(grid, x)

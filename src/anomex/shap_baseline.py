@@ -70,10 +70,31 @@ def default_coalitions(d: int) -> int:
     return 2 * d + 2048
 
 
-def sample_background(data: Dataset, fraction: float, seed: int) -> Dataset:
-    """Uniform sample without replacement of floor(fraction * n) rows (>= 1)."""
+def coalition_budget(coalitions: int | None, d: int) -> int:
+    """The coalition budget at d features (None: 2d + 2048); ValueError if out of range."""
+    if coalitions is None:
+        return default_coalitions(d)
+    # below d - 1 sampled coalitions the regression over the d - 1 free
+    # attributions is underdetermined, and the ridge fallback would pick one
+    if coalitions < d + 1:
+        raise ValueError(
+            f"coalition budget must be >= d + 1 = {d + 1} at d={d}, got {coalitions}"
+        )
+    limit = max(MAX_COALITIONS, default_coalitions(d))
+    if coalitions > limit:
+        raise ValueError(f"coalition budget must be <= {limit} at d={d}, got {coalitions}")
+    return coalitions
+
+
+def check_background_fraction(fraction: float) -> None:
+    """ValueError unless ``fraction`` is in (0, 1]."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+
+
+def sample_background(data: Dataset, fraction: float, seed: int) -> Dataset:
+    """Uniform sample without replacement of floor(fraction * n) rows (>= 1)."""
+    check_background_fraction(fraction)
     n = data.n_rows
     size = max(1, math.floor(fraction * n))
     rng = np.random.default_rng(seed)
@@ -114,17 +135,7 @@ def kernel_shap(
     d = background.n_features
     if x.size != d:
         raise ValueError(f"point has {x.size} features but background has {d}")
-    if coalitions is None:
-        coalitions = default_coalitions(d)
-    # below d - 1 sampled coalitions the regression over the d - 1 free
-    # attributions is underdetermined, and the ridge fallback would pick one
-    if coalitions < d + 1:
-        raise ValueError(
-            f"coalition budget must be >= d + 1 = {d + 1} at d={d}, got {coalitions}"
-        )
-    limit = max(MAX_COALITIONS, default_coalitions(d))
-    if coalitions > limit:
-        raise ValueError(f"coalition budget must be <= {limit} at d={d}, got {coalitions}")
+    coalitions = coalition_budget(coalitions, d)
 
     bg = background.rows
     base_value = float(checked_scores(scorer(bg), len(bg), lambda b: f"background row {b}").mean())

@@ -46,7 +46,7 @@ def report(number, name, detail):
 def test_criterion_01_metric_oracle():
     t0 = time.perf_counter()
     levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    grid = QuantileGrid(levels, np.stack([levels, np.full(5, 0.4)]))
+    grid = QuantileGrid(np.stack([levels, np.full(5, 0.4)]))
     expl = explain(lambda X: X[:, 0].copy(), np.array([0.9, 0.4]), grid, Weights(), 0.5)
 
     tol = 1e-12

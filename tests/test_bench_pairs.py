@@ -68,8 +68,10 @@ def test_a_metric_missing_from_a_run_is_left_out():
         (1, '{"correct": true, "metrics": {}}\n'),
         (0, '{"correct": false, "metrics": {}}\n'),
         (0, ""),
+        (0, "not json\n"),
+        (0, "[1, 2]\n"),
     ],
-    ids=["exit-code", "incorrect", "silent"],
+    ids=["exit-code", "incorrect", "silent", "not-json", "not-an-object"],
 )
 def test_run_bench_refuses_a_failed_run(monkeypatch, tmp_path, returncode, stdout):
     def fake_run(*args, **kwargs):

@@ -356,12 +356,21 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
     (["overall", "--positions", "0"], "--positions must be >= 1, got 0"),
     (["fit", "--model", "iforest", "--seed", "1", "--quantiles", "1"],
      "--quantiles must be >= 2, got 1"),
+    (["shap", "--row", "0", "--seed", "1", "--background-frac", "2"],
+     "fraction must be in (0, 1], got 2.0"),
+    (["shap", "--row", "0", "--seed", "1", "--coalitions", "3"],
+     "coalition budget must be >= d + 1 = 7 at d=6, got 3"),
+    (["shap", "--row", "-1", "--seed", "1"], "--row must be >= 0, got -1"),
+    (["explain", "--row", "0", "--weights", "1,1,1,1"],
+     "weights must sum to 1, got sum=4.0"),
+    (["explain", "--row", "-1"], "--row must be >= 0, got -1"),
+    (["overall", "--weights", "1,1,1,1"], "weights must sum to 1, got sum=4.0"),
 ])
 def test_usage_error_bad_flag_before_any_input_is_read(workspace, tmp_path, capsys, argv,
                                                          message):
     # the input does not exist, so reading it first would be a data error (exit 2)
     _, _, model = workspace
-    model_flag = ["--model", str(model)] if argv[0] == "overall" else []
+    model_flag = ["--model", str(model)] if argv[0] != "fit" else []
     out = tmp_path / "out.json"
     assert invoke(*argv, *model_flag, "--input", str(tmp_path / "absent.csv"),
                   "--out", str(out)) == 1

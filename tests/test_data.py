@@ -610,11 +610,35 @@ def test_grid_rejects_small_k():
         build_quantile_grid(make_dataset([1.0, 2.0]), 1)
 
 
+@pytest.mark.parametrize("k", [2, 3, 17, 51])
+def test_grid_levels_are_linspace_of_k(k):
+    grid = QuantileGrid(np.tile(np.arange(k, dtype=np.float64), (2, 1)))
+    assert grid.levels.tobytes() == np.linspace(0, 1, k).tobytes()
+    assert not grid.levels.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros((4, 0)), r"got shape \(4, 0\)"),
+        (np.zeros((4, 1)), r"got shape \(4, 1\)"),
+        (np.zeros(3), r"got shape \(3,\)"),
+        (np.full((4, 3), np.nan), "non-finite"),
+        ([[0.0, 1.0, np.inf]], "non-finite"),
+        ([[0.0, 1.0], [2.0, 1.0]], "non-decreasing"),
+    ],
+    ids=["no-levels", "one-level", "1-d", "nan", "inf", "decreasing"],
+)
+def test_quantile_grid_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        QuantileGrid(values)
+
+
 # -- level_of / value_at -------------------------------------------------------
 
 
 def simple_grid():
-    return QuantileGrid(np.array([0.0, 0.5, 1.0]), np.array([[1.0, 3.0, 5.0]]))
+    return QuantileGrid(np.array([[1.0, 3.0, 5.0]]))
 
 
 def test_level_of_exact_grid_point():
@@ -632,13 +656,12 @@ def test_level_of_interpolates():
 
 
 def test_levels_of_is_level_of_for_every_feature():
-    levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     values = np.array([
         [1.0, 3.0, 5.0, 7.0, 9.0],
         [2.0, 2.0, 2.0, 4.0, 4.0],  # flat stretches: lowest matching level
         [0.5, 0.5, 0.5, 0.5, 0.5],  # constant: at the value is level 0
     ])
-    grid = QuantileGrid(levels, values)
+    grid = QuantileGrid(values)
     for point in ([3.0, 2.0, 0.5], [0.0, 4.0, 1.0], [9.0, 3.0, 0.0], [2.2, 4.5, 0.5]):
         expected = [level_of(grid, j, v) for j, v in enumerate(point)]
         assert levels_of(grid, np.array(point)).tolist() == expected
@@ -659,6 +682,22 @@ def test_value_at_clamps_and_interpolates():
     assert value_at(g, 0, 0.25) == pytest.approx(2.0)
     assert value_at(g, 0, -0.5) == 1.0
     assert value_at(g, 0, 1.5) == 5.0
+
+
+@pytest.mark.parametrize("feature", [-1, 2, 5])
+def test_grid_lookups_reject_a_feature_outside_the_grid(feature):
+    # numpy would read feature -1 as the last feature's row
+    grid = QuantileGrid(np.array([[1.0, 3.0, 5.0], [10.0, 20.0, 30.0]]))
+    with pytest.raises(ValueError, match=rf"feature {feature} out of range \[0, 2\)"):
+        value_at(grid, feature, 0.5)
+    with pytest.raises(ValueError, match=rf"feature {feature} out of range \[0, 2\)"):
+        level_of(grid, feature, 3.0)
+
+
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), float("-inf")])
+def test_value_at_rejects_a_non_finite_level(level):
+    with pytest.raises(ValueError, match="level must be finite"):
+        value_at(simple_grid(), 0, level)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from anomex.data import build_quantile_grid, fit_threshold
+from anomex.data import QuantileGrid, build_quantile_grid, fit_threshold
 from anomex.detectors import (
     _BLOCK_ROWS,
     _COALITION_BLOCK_ROWS,
@@ -123,7 +123,7 @@ def swept_batch(x, values):
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(1, 4),
-    k=st.integers(1, 6),
+    k=st.integers(2, 6),
     n=st.integers(2, 30),
     trees=st.integers(1, 8),
     constant=st.lists(st.booleans(), min_size=4, max_size=4),
@@ -151,10 +151,10 @@ def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, only_
     x = pool[rng.integers(pool.size, size=d)]
     if only_thresholds and thresholds:
         pool = np.asarray(thresholds)
-    # rows of values are unsorted and repeat values
-    values = pool[rng.integers(pool.size, size=(d, k))]
-    expected = model.score(swept_batch(x, values)).reshape(d, k)
-    assert np.array_equal(model.score_sweep(x, values), expected)
+    # rows of values repeat values
+    grid = QuantileGrid(np.sort(pool[rng.integers(pool.size, size=(d, k))], axis=1))
+    expected = model.score(swept_batch(x, grid.values)).reshape(d, k)
+    assert np.array_equal(model.score_sweep(x, grid), expected)
 
 
 def test_score_is_blockwise_exact(gaussian_data):
@@ -165,9 +165,9 @@ def test_score_is_blockwise_exact(gaussian_data):
     assert np.array_equal(model.score(batch), one_by_one)
     assert model.score(np.empty((0, 4))).shape == (0,)
     # a sweep longer than one block walks one feature per block
-    values = np.sort(rng.normal(size=(4, _BLOCK_ROWS // 2 + 1)), axis=1)
-    expected = model.score(swept_batch(batch[0], values)).reshape(values.shape)
-    assert np.array_equal(model.score_sweep(batch[0], values), expected)
+    grid = QuantileGrid(np.sort(rng.normal(size=(4, _BLOCK_ROWS // 2 + 1)), axis=1))
+    expected = model.score(swept_batch(batch[0], grid.values)).reshape(grid.values.shape)
+    assert np.array_equal(model.score_sweep(batch[0], grid), expected)
 
 
 def test_score_sweep_walks_one_row_per_threshold_interval(monkeypatch):
@@ -197,7 +197,7 @@ def test_score_sweep_walks_one_row_per_threshold_interval(monkeypatch):
         return walk(self, flat, base, node)
 
     monkeypatch.setattr(IsolationForest, "_walk", counting)
-    sweep = model.score_sweep(x, grid.values)
+    sweep = model.score_sweep(x, grid)
     assert pairs <= sum(walked) <= bound < pairs * 51
     monkeypatch.undo()
     assert np.array_equal(sweep, model.score(swept_batch(x, grid.values)).reshape(20, 51))
@@ -223,7 +223,8 @@ def test_score_sweep_scores_each_distinct_row_once(monkeypatch):
     rng = np.random.default_rng(11)
     data = make_dataset(rng.normal(size=(500, 20)))
     model = IsolationForest.fit(data, trees=20, subsample=64, seed=3)
-    values = build_quantile_grid(data, 51).values
+    grid = build_quantile_grid(data, 51)
+    values = grid.values
     x = data.rows[int(np.argmax(model.score(data.rows)))]
     d, k = values.shape
     leaf = leaves(model, swept_batch(x, values)).reshape(d, k, -1)
@@ -248,7 +249,7 @@ def test_score_sweep_scores_each_distinct_row_once(monkeypatch):
         return score_of(self, h)
 
     monkeypatch.setattr(IsolationForest, "_score_of", counting)
-    sweep = model.score_sweep(x, values)
+    sweep = model.score_sweep(x, grid)
     assert distinct <= sum(scored) <= bound < d * k
     monkeypatch.undo()
     assert np.array_equal(sweep, model.score(swept_batch(x, values)).reshape(d, k))
@@ -256,17 +257,15 @@ def test_score_sweep_scores_each_distinct_row_once(monkeypatch):
 
 def test_score_sweep_rejects_bad_input(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=0)
-    x, values = gaussian_data.rows[0], np.zeros((4, 3))
-    for bad_x, bad_values, error in [
-        (gaussian_data.rows[:2], values, ModelError),
-        (np.zeros(3), values, ModelError),
-        (x, np.zeros((3, 3)), ModelError),
-        (x, np.zeros((4, 0)), ModelError),
-        (np.full(4, np.inf), values, DataError),
-        (x, np.full((4, 3), np.nan), DataError),
+    x, grid = gaussian_data.rows[0], QuantileGrid(np.zeros((4, 3)))
+    for bad_x, bad_grid, error in [
+        (gaussian_data.rows[:2], grid, ModelError),
+        (np.zeros(3), grid, ModelError),
+        (x, QuantileGrid(np.zeros((3, 3))), ModelError),
+        (np.full(4, np.inf), grid, DataError),
     ]:
         with pytest.raises(error):
-            model.score_sweep(bad_x, bad_values)
+            model.score_sweep(bad_x, bad_grid)
 
 
 def hybrid_rows(x, background, masks):
@@ -470,14 +469,14 @@ def bin_edges(model):
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.integers(1, 5),
-    k=st.integers(1, 6),
+    k=st.integers(2, 6),
     n=st.integers(2, 30),
     projections=st.integers(1, 8),
     bins=st.integers(1, 6),
     constant=st.lists(st.booleans(), min_size=5, max_size=5),
     seed=st.integers(0, 2**16),
 )
-@example(d=1, k=1, n=2, projections=1, bins=1, constant=[False] * 5, seed=0)
+@example(d=1, k=2, n=2, projections=1, bins=1, constant=[False] * 5, seed=0)
 @example(d=3, k=2, n=10, projections=4, bins=5, constant=[True] * 5, seed=1)  # single bins
 def test_loda_score_sweep_is_score_of_the_swept_batch(d, k, n, projections, bins, constant, seed):
     rng = np.random.default_rng(seed)
@@ -488,9 +487,9 @@ def test_loda_score_sweep_is_score_of_the_swept_batch(d, k, n, projections, bins
     # +-1e6 lies far outside the training range
     pool = np.concatenate([bin_edges(model), rows.ravel(), [-1e6, 1e6]])
     x = pool[rng.integers(pool.size, size=d)]
-    values = pool[rng.integers(pool.size, size=(d, k))]
-    expected = model.score(swept_batch(x, values)).reshape(d, k)
-    assert np.array_equal(model.score_sweep(x, values), expected)
+    grid = QuantileGrid(np.sort(pool[rng.integers(pool.size, size=(d, k))], axis=1))
+    expected = model.score(swept_batch(x, grid.values)).reshape(d, k)
+    assert np.array_equal(model.score_sweep(x, grid), expected)
 
 
 def test_loda_score_sweep_on_dense_and_zero_projections():
@@ -509,25 +508,25 @@ def test_loda_score_sweep_on_dense_and_zero_projections():
         x = edges[rng.integers(edges.size, size=4)]
         values = np.concatenate([edges[rng.integers(edges.size, size=(4, 30))],
                                  rng.normal(scale=5, size=(4, 5))], axis=1)
-        expected = model.score(swept_batch(x, values)).reshape(values.shape)
-        assert np.array_equal(model.score_sweep(x, values), expected)
+        grid = QuantileGrid(np.sort(values, axis=1))
+        expected = model.score(swept_batch(x, grid.values)).reshape(grid.values.shape)
+        assert np.array_equal(model.score_sweep(x, grid), expected)
     # every p = 1: scores are -0.0, the negated mean of log p, as saved score files show
     flat = loda_document(w, lo, width, [[1.0]] * 5)
     assert np.signbit(flat.score(x[None, :])).all()
-    assert np.signbit(flat.score_sweep(x, values)).all()
+    assert np.signbit(flat.score_sweep(x, grid)).all()
 
 
 def test_loda_score_sweep_spans_blocks(gaussian_data):
     model = Loda.fit(gaussian_data, projections=10, bins=20, seed=1)
     rng = np.random.default_rng(5)
     x = gaussian_data.rows[0]
-    values = rng.normal(scale=2, size=(4, _BLOCK_ROWS // 2 + 1))  # one feature per block
-    expected = model.score(swept_batch(x, values)).reshape(values.shape)
-    assert np.array_equal(model.score_sweep(x, values), expected)
+    # one feature per block
+    grid = QuantileGrid(np.sort(rng.normal(scale=2, size=(4, _BLOCK_ROWS // 2 + 1)), axis=1))
+    expected = model.score(swept_batch(x, grid.values)).reshape(grid.values.shape)
+    assert np.array_equal(model.score_sweep(x, grid), expected)
     with pytest.raises(ModelError, match="one sample"):
-        model.score_sweep(gaussian_data.rows[:2], values)
-    with pytest.raises(DataError, match="non-finite sweep value"):
-        model.score_sweep(x, np.full((4, 3), np.nan))
+        model.score_sweep(gaussian_data.rows[:2], grid)
 
 
 def test_loda_rows_score_on_their_own(gaussian_data):
@@ -560,14 +559,14 @@ def test_loda_tiny_bin_width_sends_rows_to_their_edge_bin():
     probs = [np.array([0.1, 0.2, 0.3, 0.4])] * 2
     model = loda_document([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], [1e-308, 1e-308], probs)
     batch = np.array([[5.0, 1.0], [-5.0, -2.0], [0.0, 3.0]])
-    sweep_values = np.array([[5.0, -5.0, 0.0], [1.0, -2.0, 3.0]])
+    grid = QuantileGrid([[-5.0, 0.0, 5.0], [-2.0, 1.0, 3.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         scores = model.score(batch)
-        sweep = model.score_sweep(batch[0], sweep_values)
+        sweep = model.score_sweep(batch[0], grid)
     p = np.array([[0.4, 0.4], [0.1, 0.1], [0.1, 0.4]])
     assert np.array_equal(scores, -np.log(p).mean(axis=1))
-    swept = np.array([[[0.4, 0.4], [0.1, 0.4], [0.1, 0.4]], [[0.4, 0.4], [0.4, 0.1], [0.4, 0.4]]])
+    swept = np.array([[[0.1, 0.4], [0.1, 0.4], [0.4, 0.4]], [[0.4, 0.1], [0.4, 0.4], [0.4, 0.4]]])
     assert np.array_equal(sweep, -np.log(swept).mean(axis=2))
 
 
@@ -632,13 +631,14 @@ def test_forest_document_is_resaved_as_written(tmp_path, model_documents):
     assert resaved.read_bytes() == edited.read_bytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 17, 51])
 @pytest.mark.parametrize("kind", ["iforest", "loda"])
-def test_stored_grid_round_trips_bit_for_bit(tmp_path, gaussian_data, kind):
+def test_stored_grid_round_trips_bit_for_bit(tmp_path, gaussian_data, kind, k):
     if kind == "iforest":
         model = IsolationForest.fit(gaussian_data, trees=5, subsample=32, seed=3)
     else:
         model = Loda.fit(gaussian_data, projections=5, bins=10, seed=3)
-    grid = build_quantile_grid(gaussian_data, 17)
+    grid = build_quantile_grid(gaussian_data, k)
     path = tmp_path / "model.json"
     save_model(model, 0.25, 0.1, path, grid)
     saved = read_model(path)

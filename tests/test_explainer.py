@@ -23,7 +23,7 @@ def two_feature_grid(constant=0.4):
     """Feature 0: quantile values equal to the levels; feature 1: constant."""
     levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     values = np.stack([levels, np.full(5, constant)])
-    return QuantileGrid(levels, values)
+    return QuantileGrid(values)
 
 
 # -- weights -------------------------------------------------------------------

@@ -23,7 +23,7 @@ def small_explanation(d=4, k=9, seed=0, tau_q=0.7):
 
 def crossing_explanation():
     levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    grid = QuantileGrid(levels, np.stack([levels, np.full(5, 0.4)]))
+    grid = QuantileGrid(np.stack([levels, np.full(5, 0.4)]))
     return explain(lambda X: X[:, 0].copy(), np.array([0.9, 0.4]), grid, Weights(), 0.5)
 
 

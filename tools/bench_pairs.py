@@ -22,9 +22,9 @@ of BENCHMARK.json the medians and quartiles of each side
 (``statistics.quantiles(n=4)``), the change's median over the parent's
 minus one, how many pairs read lower with the change, and a verdict
 (see ``verdict``). It is rewritten after every run, so an interrupted
-session keeps what it measured. A run that exits non-zero or reports
-``"correct": false`` stops the session with its stderr tail; it is never
-counted as a sample.
+session keeps what it measured. A run that exits non-zero, or whose
+last line is not a JSON object reporting ``"correct": true``, stops
+everything with its stderr tail; it is never counted as a sample.
 """
 
 from __future__ import annotations
@@ -73,8 +73,13 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
         cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
     )
     lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
-    if result is None or result.get("correct") is not True:
+    result = None
+    if proc.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:  # a malformed last line fails like any other run
+            pass
+    if not isinstance(result, dict) or result.get("correct") is not True:
         last = lines[-1] if lines else None
         raise RuntimeError(
             f"{workload} seed {seed} in {checkout} failed (exit code {proc.returncode}, "
