@@ -6,12 +6,12 @@ environment variable; the flag wins). All machine artifacts are JSON or
 CSV and byte-stable for identical inputs and seed.
 
 ``fit`` stores the quantile grid of the training data in the model, and
-``explain`` and ``overall`` sweep that grid, so an explanation does not
-depend on the other rows of --input. ``explain`` then reads only the
-header and its own row of --input. A model without a grid (format
-version 1) falls back to the grid of --input, with a warning. ``shap``
-samples its background from --input. Warnings and the label diagnostics
-of ``score`` and ``overall`` go to stderr through ``logging``.
+``explain`` and ``overall`` sweep only that grid, so an explanation does
+not depend on the other rows of --input; a model without one (format
+version 1) is a model error there, while ``score`` and ``shap`` accept
+it. ``explain`` reads only the header and its own row of --input.
+``shap`` samples its background from --input. Warnings and the label
+diagnostics of ``score`` and ``overall`` go to stderr through ``logging``.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from anomex import bench as bench_mod
+from anomex import viz
 from anomex.aggregate import histogram_to_dict, merge_others, overall_importance
 from anomex.data import (
     Dataset,
@@ -57,7 +58,6 @@ from anomex.shap_baseline import (
     shap_to_dict,
 )
 from anomex.synth import SynthSpec, generate
-from anomex.viz import render_rank_bars, render_whatif
 
 SEED_ENV_VAR = "ANOMEX_SEED"
 DEFAULT_QUANTILES = 51
@@ -74,9 +74,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-_QUANTILES_HELP = f"grid levels K (default: the model's, else {DEFAULT_QUANTILES})"
 
 
 def _build_parser() -> _Parser:
@@ -108,7 +105,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--input", required=True)
     p.add_argument("--row", type=int, required=True, help="0-based row index")
     p.add_argument("--weights", default="0.3,0.3,0.2,0.2", help="wD,wC,wQ,wR")
-    p.add_argument("--quantiles", type=int, default=None, help=_QUANTILES_HELP)
     p.add_argument("--out", required=True, help="explanation JSON path")
     p.add_argument("--svg", default=None, help="optional what-if chart path")
     p.add_argument("--top-k", type=int, default=None, help="rows in the chart")
@@ -121,7 +117,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--positions", type=int, default=None, help="rank positions (default min(d, 10))")
     p.add_argument("--cutoff", type=float, default=0.05, help="merge share for 'others'")
     p.add_argument("--weights", default="0.3,0.3,0.2,0.2")
-    p.add_argument("--quantiles", type=int, default=None, help=_QUANTILES_HELP)
     p.add_argument("--out", required=True, help="histogram JSON path")
     p.add_argument("--svg", default=None, help="optional stacked bar chart path")
     p.add_argument("--width", type=int, default=760)
@@ -213,48 +208,32 @@ def _row_out_of_range(row: int, n_rows: int) -> UsageError:
     return UsageError(f"--row {row} out of range [0, {n_rows})")
 
 
-def _check_stored_grid(grid: QuantileGrid | None, k_levels: int | None) -> None:
-    """Warn if the model holds no training grid; check ``--quantiles`` against it.
+def _training_grid(grid: QuantileGrid | None, names: tuple[str, ...]) -> QuantileGrid:
+    """The model's training grid; ModelError without one, DataError if no feature has spread.
 
-    UsageError if ``--quantiles`` asks for other levels than the stored grid has.
+    Over a grid with no spread every curve is flat and every importance 0,
+    so the ranking would only echo the feature order. Features without
+    spread are named in a warning.
     """
     if grid is None:
-        logger.warning(
-            "the model holds no quantile grid (format version 1, or saved without one): "
-            "sweeping the grid of --input, which need not be the training distribution"
+        raise ModelError(
+            "the model holds no quantile grid (format version 1, or saved without one); "
+            "refit it with anomex fit"
         )
-    elif k_levels is not None and k_levels != grid.n_levels:
-        raise UsageError(
-            f"--quantiles {k_levels} differs from the {grid.n_levels} levels of the "
-            f"model's grid; refit with --quantiles {k_levels}"
-        )
-
-
-def _input_grid(data: Dataset, k_levels: int | None) -> QuantileGrid:
-    grid = build_quantile_grid(data, DEFAULT_QUANTILES if k_levels is None else k_levels)
-    _check_spread(grid, data.feature_names, f"--input ({data.n_rows} row(s))")
-    return grid
-
-
-def _check_spread(grid: QuantileGrid, names: tuple[str, ...], source: str) -> None:
-    """DataError if no feature has any spread; warn naming those without.
-
-    Over such a grid every curve is flat and every importance 0, so the
-    ranking would only echo the feature order.
-    """
     flat = np.flatnonzero(grid.values[:, -1] == grid.values[:, 0])
     if flat.size == len(names):
         raise DataError(
-            f"every feature is constant in {source}: "
+            "every feature is constant in the training data: "
             "the quantile grid has zero width, so no feature can be ranked"
         )
     if flat.size:
         shown = ", ".join(names[j] for j in flat[:_NAMED_FLAT_FEATURES])
         more = flat.size - _NAMED_FLAT_FEATURES
         logger.warning(
-            "%d of %d features are constant in %s, so their sweeps are flat: %s%s",
-            flat.size, len(names), source, shown, f" and {more} more" if more > 0 else "",
+            "%d of %d features are constant in the training data, so their sweeps are "
+            "flat: %s%s", flat.size, len(names), shown, f" and {more} more" if more > 0 else "",
         )
+    return grid
 
 
 def _log_label_diagnostics(labels: np.ndarray, scores: np.ndarray, threshold: float) -> None:
@@ -313,19 +292,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     weights = validate_weights(args.weights.split(","))
     _at_least("--row", args.row, 0)
+    if args.svg:
+        viz.check_whatif_width(args.width)
     detector, threshold, _, grid = read_model(args.model)
     names = detector.feature_names
-    _check_stored_grid(grid, args.quantiles)
-    if grid is None:
-        data = _load_compatible(args.input, names, args.has_labels)
-        x = _pick_row(data, args.row)
-        grid = _input_grid(data, args.quantiles)
-    else:
-        x = _read_row(args.input, args.row, names, args.has_labels)
-        _check_spread(grid, names, "the training data")
+    if args.svg:
+        viz.whatif_top_k(args.top_k, len(names))
+    grid = _training_grid(grid, names)
+    x = _read_row(args.input, args.row, names, args.has_labels)
     expl = explain(detector.score, x, grid, weights, threshold, feature_names=names)
-    # the chart is rendered first, so a bad chart flag leaves no file behind
-    svg = render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
+    svg = viz.render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
     if svg:
         _write_text(args.svg, svg)
@@ -347,14 +323,12 @@ def _cmd_overall(args: argparse.Namespace) -> int:
     if not 0.0 < args.cutoff < 1.0:
         raise UsageError(f"--cutoff must be in (0, 1), got {args.cutoff}")
     _at_least("--positions", args.positions, 1)
+    if args.svg:
+        viz.check_rank_bars_size(args.width, args.height)
     weights = validate_weights(args.weights.split(","))
     detector, threshold, _, grid = read_model(args.model)
-    _check_stored_grid(grid, args.quantiles)
+    grid = _training_grid(grid, detector.feature_names)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
-    if grid is None:
-        grid = _input_grid(data, args.quantiles)
-    else:
-        _check_spread(grid, data.feature_names, "the training data")
     scores = detector.score(data.rows)
     if args.has_labels:
         _log_label_diagnostics(data.labels, scores, threshold)
@@ -366,7 +340,7 @@ def _cmd_overall(args: argparse.Namespace) -> int:
     # small features are folded into the synthetic 'others' row
     top = hist.feature_names[int(np.argmax(hist.matrix[:, 0]))]
     hist = merge_others(hist, args.cutoff)
-    svg = render_rank_bars(hist, width=args.width, height=args.height) if args.svg else None
+    svg = viz.render_rank_bars(hist, width=args.width, height=args.height) if args.svg else None
     _write_text(args.out, _dump_json(histogram_to_dict(hist)))
     if svg:
         _write_text(args.svg, svg)
@@ -413,8 +387,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     if args.repeats < bench_mod.MIN_REPEATS:
         raise UsageError(f"--repeats must be >= {bench_mod.MIN_REPEATS}")
+    _at_least("--quantiles", args.quantiles, 2)
     records: list[bench_mod.TimingRecord] = []
     if args.suite in ("background", "head2head"):
+        if args.suite == "head2head":
+            fractions = [0.1]
+        else:
+            fractions = sorted(float(f) for f in args.fractions.split(","))
+        for fraction in fractions:
+            check_background_fraction(fraction)
+        coalitions = coalition_budget(args.coalitions, args.d)
         data, detector, threshold, x = _bench_workload(
             args.n, args.d, args.trees, args.contamination, seed
         )
@@ -422,15 +404,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         setup = bench_mod.BenchSetup(
             grid=grid, weights=validate_weights((0.3, 0.3, 0.2, 0.2)),
             threshold=threshold, detector="iforest", n=data.n_rows, seed=seed,
-            coalitions=args.coalitions,
+            coalitions=coalitions,
         )
         records.append(bench_mod.time_single_explanation(
             bench_mod.METHOD_QUANTILE_SWEEP, detector.score, x, setup, args.repeats
         ))
-        if args.suite == "head2head":
-            fractions = [0.1]
-        else:
-            fractions = sorted(float(f) for f in args.fractions.split(","))
         records.extend(bench_mod.background_sweep(
             detector.score, x, data, fractions, setup, args.repeats
         ))

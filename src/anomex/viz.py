@@ -25,6 +25,11 @@ _PALETTE = (
 )
 _OTHERS_COLOR = "#999999"
 
+# Chart layout in px: margins (left, right, top, bottom) and the rank bars' legend.
+_WHATIF_MARGINS = (150, 30, 46, 42)
+_BARS_MARGINS = (56, 20, 40, 46)
+_LEGEND_W = 150
+
 
 def _level_color(level: float) -> str:
     t = min(max(float(level), 0.0), 1.0)
@@ -51,6 +56,31 @@ def _header(width: int, height: int) -> list[str]:
     ]
 
 
+def whatif_top_k(top_k: int | None, d: int) -> int:
+    """Rows of a what-if chart of d features (None: min(10, d)); ValueError outside [1, d]."""
+    if top_k is None:
+        return min(10, d)
+    if not 1 <= top_k <= d:
+        raise ValueError(f"top_k must be in [1, {d}], got {top_k}")
+    return top_k
+
+
+def check_whatif_width(width: int) -> None:
+    """ValueError if a what-if chart ``width`` px wide has no room for its plot."""
+    _check_room("width", width, _WHATIF_MARGINS[0] + _WHATIF_MARGINS[1])
+
+
+def check_rank_bars_size(width: int, height: int) -> None:
+    """ValueError if a rank bar chart of this size has no room for its plot."""
+    _check_room("width", width, _BARS_MARGINS[0] + _BARS_MARGINS[1] + _LEGEND_W)
+    _check_room("height", height, _BARS_MARGINS[2] + _BARS_MARGINS[3])
+
+
+def _check_room(name: str, px: int, margins: int) -> None:
+    if px <= margins:
+        raise ValueError(f"{name} must exceed {margins} px, got {px}")
+
+
 def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int = 900) -> str:
     """What-if bubble chart of the ``top_k`` most important features.
 
@@ -61,19 +91,14 @@ def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int =
     value and sits on the red dashed score line. The black solid line is
     the classification threshold.
     """
-    d = expl.n_features
-    if top_k is None:
-        top_k = min(10, d)
-    if not 1 <= top_k <= d:
-        raise ValueError(f"top_k must be in [1, {d}], got {top_k}")
+    top_k = whatif_top_k(top_k, expl.n_features)
+    check_whatif_width(width)
     rows = expl.ranking[:top_k]
 
     row_height = 36
-    margin_left, margin_right, margin_top, margin_bottom = 150, 30, 46, 42
+    margin_left, margin_right, margin_top, margin_bottom = _WHATIF_MARGINS
     height = margin_top + row_height * top_k + margin_bottom
     plot_w = width - margin_left - margin_right
-    if plot_w <= 0:
-        raise ValueError(f"width must exceed {margin_left + margin_right} px, got {width}")
 
     all_scores = np.concatenate([expl.sweep[list(rows)].ravel(), [expl.score, expl.threshold]])
     lo = float(all_scores.min())
@@ -159,16 +184,10 @@ def render_rank_bars(hist: RankHistogram, width: int = 760, height: int = 420) -
     matrix = hist.matrix
     n_feat, n_pos = matrix.shape
 
-    legend_w = 150
-    margin_left, margin_right, margin_top, margin_bottom = 56, 20, 40, 46
-    plot_w = width - margin_left - margin_right - legend_w
+    check_rank_bars_size(width, height)
+    margin_left, margin_right, margin_top, margin_bottom = _BARS_MARGINS
+    plot_w = width - margin_left - margin_right - _LEGEND_W
     plot_h = height - margin_top - margin_bottom
-    if plot_w <= 0:
-        raise ValueError(
-            f"width must exceed {margin_left + margin_right + legend_w} px, got {width}"
-        )
-    if plot_h <= 0:
-        raise ValueError(f"height must exceed {margin_top + margin_bottom} px, got {height}")
     slot = plot_w / n_pos
     bar_w = slot * 0.62
 

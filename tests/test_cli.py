@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anomex import cli
 from anomex.cli import SEED_ENV_VAR, run
 from anomex.data import load_csv
 from anomex.detectors import average_precision, load_model
@@ -105,8 +107,7 @@ def test_explain_uses_default_weights_and_writes_svg(workspace):
     svg = tmp / "expl.svg"
     code = invoke(
         "explain", "--model", str(model), "--input", str(data), "--has-labels",
-        "--row", "805", "--weights", "0.3,0.3,0.2,0.2", "--quantiles", "31",
-        "--out", str(out), "--svg", str(svg),
+        "--row", "805", "--weights", "0.3,0.3,0.2,0.2", "--out", str(out), "--svg", str(svg),
     )
     assert code == 0
     doc = json.loads(out.read_text())
@@ -365,6 +366,10 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
      "weights must sum to 1, got sum=4.0"),
     (["explain", "--row", "-1"], "--row must be >= 0, got -1"),
     (["overall", "--weights", "1,1,1,1"], "weights must sum to 1, got sum=4.0"),
+    (["explain", "--row", "0", "--svg", "x.svg", "--width", "10"],
+     "width must exceed 180 px, got 10"),
+    (["explain", "--row", "0", "--svg", "x.svg", "--top-k", "0"], "top_k must be in [1, 6], got 0"),
+    (["overall", "--svg", "x.svg", "--height", "10"], "height must exceed 86 px, got 10"),
 ])
 def test_usage_error_bad_flag_before_any_input_is_read(workspace, tmp_path, capsys, argv,
                                                          message):
@@ -452,20 +457,31 @@ def as_version_1(model, path):
 
 
 @pytest.mark.parametrize("command", ["explain", "overall"])
-def test_data_error_flat_input_grid_of_a_version_1_model(workspace, capsys, command):
-    # without a stored grid, one row of --input gives a grid of zero width
+def test_model_error_model_without_a_grid(workspace, capsys, command):
     tmp, data, model = workspace
     v1 = as_version_1(model, tmp / "v1.json")
-    lines = data.read_text().splitlines()
-    one_row = tmp / "one_row.csv"
-    one_row.write_text(lines[0] + "\n" + lines[806] + "\n")
-    out = tmp / "out.json"
-    row = ["--row", "0"] if command == "explain" else []
-    code = invoke(command, "--model", str(v1), "--input", str(one_row), "--has-labels",
-                  *row, "--out", str(out))
-    assert code == 2
-    assert "quantile grid has zero width" in capsys.readouterr().err
-    assert not out.exists()
+    out, svg = tmp / "out.json", tmp / "out.svg"
+    row = ["--row", "805"] if command == "explain" else []
+    code = invoke(command, "--model", str(v1), "--input", str(data), "--has-labels",
+                  *row, "--out", str(out), "--svg", str(svg))
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "anomex: model error: the model holds no quantile grid (format version 1, or saved "
+        "without one); refit it with anomex fit\n"
+    )
+    assert not out.exists() and not svg.exists()
+
+
+def test_version_1_model_still_scores_and_runs_shap(workspace):
+    tmp, data, model = workspace
+    v1 = as_version_1(model, tmp / "v1.json")
+    for command, flags in (("score", []), ("shap", ["--row", "805", "--seed", "3"])):
+        outs = {}
+        for name, path in (("v1", v1), ("v2", model)):
+            outs[name] = tmp / f"{command}-{name}.out"
+            assert invoke(command, "--model", str(path), "--input", str(data), "--has-labels",
+                          *flags, "--out", str(outs[name])) == 0
+        assert outs["v1"].read_bytes() == outs["v2"].read_bytes()
 
 
 def test_one_row_input_is_explained_against_the_training_grid(workspace):
@@ -483,24 +499,6 @@ def test_one_row_input_is_explained_against_the_training_grid(workspace):
     expected = json.loads(within.read_text())
     del expected["point_id"]
     assert doc == expected
-
-
-def test_version_1_model_explains_from_input_and_warns_once(workspace, caplog):
-    tmp, data, model = workspace
-    v1 = as_version_1(model, tmp / "v1.json")
-    outs = {}
-    for name, path in (("v1", v1), ("v2", model)):
-        caplog.clear()
-        outs[name] = tmp / f"{name}.json"
-        with caplog.at_level(logging.WARNING, logger="anomex.cli"):
-            assert invoke("explain", "--model", str(path), "--input", str(data), "--has-labels",
-                          "--row", "805", "--out", str(outs[name]), "--svg",
-                          str(tmp / f"{name}.svg")) == 0
-        grid_warnings = [r for r in caplog.records if "holds no quantile grid" in r.getMessage()]
-        assert len(grid_warnings) == (1 if name == "v1" else 0)
-    # with the training CSV as --input, both grids are the same bits
-    assert outs["v1"].read_bytes() == outs["v2"].read_bytes()
-    assert (tmp / "v1.svg").read_bytes() == (tmp / "v2.svg").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -527,20 +525,6 @@ def test_model_error_bad_stored_grid(workspace, tmp_path, capsys, edit):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["explain", "overall"])
-def test_usage_error_quantiles_differ_from_the_stored_grid(workspace, tmp_path, capsys, command):
-    tmp, data, model = workspace
-    row = ["--row", "0"] if command == "explain" else []
-    out = tmp_path / "out.json"
-    assert invoke(command, "--model", str(model), "--input", str(data), "--has-labels", *row,
-                  "--quantiles", "31", "--out", str(out)) == 1
-    assert "--quantiles 31 differs from the 51 levels" in capsys.readouterr().err
-    assert not out.exists()
-    # the stored K itself is accepted
-    assert invoke(command, "--model", str(model), "--input", str(data), "--has-labels", *row,
-                  "--quantiles", "51", "--out", str(out)) == 0
-
-
 def test_partly_flat_grid_names_the_constant_features(tmp_path, caplog):
     rng = np.random.default_rng(5)
     rows = rng.normal(size=(60, 15))
@@ -564,8 +548,16 @@ def test_partly_flat_grid_names_the_constant_features(tmp_path, caplog):
         ]
 
 
-@pytest.mark.parametrize("command", ["explain", "overall", "bench"])
-def test_usage_error_threads_flag_is_gone(workspace, tmp_path, command):
+@pytest.mark.parametrize("command, flag", [
+    ("explain", "--threads"),
+    ("overall", "--threads"),
+    ("bench", "--threads"),
+    # explain and overall sweep the model's grid, so its K is not theirs to set
+    ("explain", "--quantiles"),
+    ("overall", "--quantiles"),
+], ids=["explain-threads", "overall-threads", "bench-threads", "explain-quantiles",
+        "overall-quantiles"])
+def test_usage_error_removed_flag(workspace, tmp_path, capsys, command, flag):
     tmp, data, model = workspace
     args = {
         "explain": ["--model", str(model), "--input", str(data), "--has-labels", "--row", "0"],
@@ -573,8 +565,42 @@ def test_usage_error_threads_flag_is_gone(workspace, tmp_path, command):
         "bench": ["--suite", "head2head", "--seed", "1"],
     }[command]
     out = tmp_path / "out"
-    assert invoke(command, *args, "--out", str(out), "--threads", "1") == 1
+    # 51 is the model's own K
+    assert invoke(command, *args, "--out", str(out), flag, "51") == 1
+    assert f"unrecognized arguments: {flag} 51" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--suite", "background", "--fractions", "0.1,2"], "fraction must be in (0, 1], got 2.0"),
+    (["--suite", "background", "--fractions", "0.1,x"], "could not convert string to float: 'x'"),
+    (["--suite", "head2head", "--coalitions", "3"],
+     "coalition budget must be >= d + 1 = 51 at d=50, got 3"),
+    (["--suite", "head2head", "--quantiles", "1"], "--quantiles must be >= 2, got 1"),
+    (["--suite", "dimension", "--quantiles", "1"], "--quantiles must be >= 2, got 1"),
+    (["--suite", "dimension", "--dims", "3,x"], "invalid literal for int() with base 10: 'x'"),
+])
+def test_usage_error_bench_flag_before_any_workload_is_built(tmp_path, capsys, monkeypatch, flags,
+                                                              message):
+    def no_workload(*args):
+        raise AssertionError("a bench workload was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "_bench_workload", no_workload)
+    out = tmp_path / "bench.csv"
+    assert invoke("bench", *flags, "--seed", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"anomex: usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "anomex", line
+        commands.append(cli._build_parser().parse_args(argv[1:]).command)
+    assert commands == ["synth", "fit", "score", "explain", "overall", "shap", "bench"]
 
 
 def test_model_error_bad_model_file(workspace, tmp_path):
