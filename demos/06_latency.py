@@ -37,7 +37,7 @@ x = data.rows[int(np.argmax(scores))]
 grid = build_quantile_grid(data, k_levels=51)
 
 setup = BenchSetup(grid=grid, weights=Weights(), threshold=tau,
-                   detector="iforest", n=data.n_rows, seed=3, coalitions=256)
+                   n=data.n_rows, seed=3, coalitions=256)
 
 records = [time_single_explanation("acme_ad", model.score, x, setup, repeats=3)]
 records += background_sweep(model.score, x, data, (0.05, 0.1, 0.25, 0.5),

@@ -52,6 +52,11 @@ class RankHistogram:
         return self.matrix.shape[1]
 
 
+def _check_positions(top_positions: int) -> None:
+    if top_positions < 1:
+        raise ValueError(f"top_positions must be >= 1, got {top_positions}")
+
+
 def rank_histogram(
     rankings: Sequence[Sequence[int]],
     feature_names: Sequence[str],
@@ -66,9 +71,8 @@ def rank_histogram(
     d = len(names)
     if not rankings:
         raise ValueError("no rankings to aggregate")
+    _check_positions(top_positions)
     positions = min(top_positions, d)
-    if positions < 1:
-        raise ValueError(f"top_positions must be >= 1, got {top_positions}")
     counts = np.zeros((d, positions))
     for ranking in rankings:
         if len(ranking) < positions:
@@ -94,19 +98,20 @@ def overall_importance(
     their rankings are reduced in that order. Raises DataError when the
     detector flags nothing, rather than returning an empty histogram.
     ``scores``, the scorer's scores of ``data.rows`` when the caller has
-    them already, saves scoring the data again.
+    them already, saves scoring the data again. ``top_positions`` and
+    ``weights`` are checked before anything is scored.
     """
+    if top_positions is None:
+        top_positions = min(data.n_features, 10)
+    _check_positions(top_positions)
+    if not isinstance(weights, Weights):
+        weights = validate_weights(weights)
     if scores is None:
         scores = scorer(data.rows)
     scores = checked_scores(scores, data.n_rows, lambda i: f"row {i}")
     flagged = np.nonzero(scores > threshold)[0]
     if flagged.size == 0:
         raise DataError("no anomalies detected")
-    if top_positions is None:
-        top_positions = min(data.n_features, 10)
-    if not isinstance(weights, Weights):
-        weights = validate_weights(weights)
-
     rankings = [explain(scorer, data.rows[i], grid, weights, threshold).ranking for i in flagged]
     return rank_histogram(rankings, data.feature_names, top_positions)
 

@@ -5,9 +5,10 @@ seconds are the median over at least three repeats. The quantile sweep
 runs on the calling thread alone. KernelSHAP on an Isolation Forest's
 own ``score`` scores its coalitions on every CPU the process may run on
 (see ``shap_baseline``), so a speedup of the sweep over that baseline
-understates the one against a serial KernelSHAP. Results serialize to
-CSV (method, background_size, n, d, K, coalitions, seconds) and to a
-text table.
+understates the one against a serial KernelSHAP. A ``TimingRecord``
+holds what the reports show and nothing more: it serializes to CSV
+(method, background_size, n, d, K, coalitions, seconds) and to a text
+table.
 """
 
 from __future__ import annotations
@@ -33,21 +34,16 @@ MIN_REPEATS = 3
 @dataclass(frozen=True)
 class TimingRecord:
     method: str
-    detector: str
     n: int
     d: int
     background_size: int | None
     quantile_levels: int
     coalitions: int | None
     seconds: float
-    repeats: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.repeats < MIN_REPEATS:
-            raise ValueError(f"need at least {MIN_REPEATS} repeats, got {self.repeats}")
         if not self.seconds > 0:
             raise ValueError(f"elapsed seconds must be positive, got {self.seconds}")
 
@@ -59,7 +55,6 @@ class BenchSetup:
     grid: QuantileGrid
     weights: Weights
     threshold: float
-    detector: str
     n: int
     seed: int
     background: Dataset | None = None
@@ -108,15 +103,12 @@ def time_single_explanation(
 
     return TimingRecord(
         method=method,
-        detector=setup.detector,
         n=setup.n,
         d=d,
         background_size=(setup.background.n_rows if method == METHOD_KERNELSHAP else None),
         quantile_levels=setup.grid.n_levels,
         coalitions=(result.coalitions if method == METHOD_KERNELSHAP else None),
         seconds=float(statistics.median(times)),
-        repeats=repeats,
-        seed=setup.seed,
     )
 
 
@@ -153,7 +145,6 @@ def dimension_sweep(
     contamination: float = 0.05,
     repeats: int = MIN_REPEATS,
     seed: int = 0,
-    detector: str = "custom",
 ) -> list[TimingRecord]:
     """Quantile-sweep explanation time across dimensionalities.
 
@@ -173,10 +164,7 @@ def dimension_sweep(
             )
         grid = build_quantile_grid(data, quantile_levels)
         threshold = fit_threshold(scorer(data.rows), contamination)
-        setup = BenchSetup(
-            grid=grid, weights=weights, threshold=threshold, detector=detector,
-            n=n, seed=seed,
-        )
+        setup = BenchSetup(grid=grid, weights=weights, threshold=threshold, n=n, seed=seed)
         records.append(
             time_single_explanation(METHOD_QUANTILE_SWEEP, scorer, x, setup, repeats)
         )

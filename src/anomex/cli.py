@@ -10,8 +10,13 @@ CSV and byte-stable for identical inputs and seed.
 not depend on the other rows of --input; a model without one (format
 version 1) is a model error there, while ``score`` and ``shap`` accept
 it. ``explain`` reads only the header and its own row of --input.
-``shap`` samples its background from --input. Warnings and the label
-diagnostics of ``score`` and ``overall`` go to stderr through ``logging``.
+``shap`` samples its background from --input. ``bench`` times the
+sweep (and KernelSHAP over ``--fractions`` of the data, suite
+``background``) or the sweep alone across ``--dims`` (suite
+``dimension``) on a synthetic forest workload. Flag values that need no
+data are checked before --input is read or bench data is generated.
+Warnings and the label diagnostics of ``score`` and ``overall`` go to
+stderr through ``logging``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from anomex.detectors import (
     IsolationForest,
     Loda,
     average_precision,
+    check_forest_params,
+    check_loda_params,
     load_model,
     read_model,
     save_model,
@@ -61,6 +68,10 @@ from anomex.synth import SynthSpec, generate
 
 SEED_ENV_VAR = "ANOMEX_SEED"
 DEFAULT_QUANTILES = 51
+# The bench forest's per-tree sample, and the share of rows it flags.
+# The threshold only labels the explained row: it changes no timed work.
+_BENCH_SUBSAMPLE = 256
+_BENCH_CONTAMINATION = 0.01
 # Zero-width grid columns named in the warning; the rest are counted.
 _NAMED_FLAT_FEATURES = 10
 
@@ -134,7 +145,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("bench", help="latency suites (timing tables + CSV)")
-    p.add_argument("--suite", required=True, choices=("background", "dimension", "head2head"))
+    p.add_argument("--suite", required=True, choices=("background", "dimension"))
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--n", type=int, default=20000)
@@ -145,7 +156,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--quantiles", type=int, default=DEFAULT_QUANTILES)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--contamination", type=float, default=0.01)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic CSV")
     p.add_argument("--n", type=int, required=True, help="normal rows")
@@ -262,6 +272,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if not 0.0 < args.contamination < 1.0:
         raise UsageError(f"--contamination must be in (0, 1), got {args.contamination}")
     _at_least("--quantiles", args.quantiles, 2)
+    if args.model == "iforest":
+        check_forest_params(args.trees, args.subsample)
+    else:
+        check_loda_params(args.projections, args.bins)
     data = load_csv(args.input, has_labels=args.has_labels)
     if args.model == "iforest":
         detector = IsolationForest.fit(data, trees=args.trees, subsample=args.subsample, seed=seed)
@@ -366,7 +380,7 @@ def _cmd_shap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_workload(n: int, d: int, trees: int, contamination: float, seed: int):
+def _bench_workload(n: int, d: int, trees: int, seed: int):
     """Synth data + fitted forest + the most anomalous point to explain."""
     data = generate(SynthSpec(
         n_normal=n - max(1, n // 100),
@@ -376,9 +390,9 @@ def _bench_workload(n: int, d: int, trees: int, contamination: float, seed: int)
         shift=4.0,
         seed=seed,
     ))
-    detector = IsolationForest.fit(data, trees=trees, subsample=256, seed=seed)
+    detector = IsolationForest.fit(data, trees=trees, subsample=_BENCH_SUBSAMPLE, seed=seed)
     scores = detector.score(data.rows)
-    threshold = fit_threshold(scores, contamination)
+    threshold = fit_threshold(scores, _BENCH_CONTAMINATION)
     x = data.rows[int(np.argmax(scores))]
     return data, detector, threshold, x
 
@@ -388,23 +402,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.repeats < bench_mod.MIN_REPEATS:
         raise UsageError(f"--repeats must be >= {bench_mod.MIN_REPEATS}")
     _at_least("--quantiles", args.quantiles, 2)
+    check_forest_params(args.trees, _BENCH_SUBSAMPLE)
     records: list[bench_mod.TimingRecord] = []
-    if args.suite in ("background", "head2head"):
-        if args.suite == "head2head":
-            fractions = [0.1]
-        else:
-            fractions = sorted(float(f) for f in args.fractions.split(","))
+    if args.suite == "background":
+        fractions = sorted(float(f) for f in args.fractions.split(","))
         for fraction in fractions:
             check_background_fraction(fraction)
         coalitions = coalition_budget(args.coalitions, args.d)
-        data, detector, threshold, x = _bench_workload(
-            args.n, args.d, args.trees, args.contamination, seed
-        )
+        data, detector, threshold, x = _bench_workload(args.n, args.d, args.trees, seed)
         grid = build_quantile_grid(data, args.quantiles)
         setup = bench_mod.BenchSetup(
             grid=grid, weights=validate_weights((0.3, 0.3, 0.2, 0.2)),
-            threshold=threshold, detector="iforest", n=data.n_rows, seed=seed,
-            coalitions=coalitions,
+            threshold=threshold, n=data.n_rows, seed=seed, coalitions=coalitions,
         )
         records.append(bench_mod.time_single_explanation(
             bench_mod.METHOD_QUANTILE_SWEEP, detector.score, x, setup, args.repeats
@@ -416,15 +425,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         dims = sorted(int(v) for v in args.dims.split(","))
 
         def factory(d: int):
-            data, detector, _, x = _bench_workload(
-                args.n, d, args.trees, args.contamination, seed
-            )
+            data, detector, _, x = _bench_workload(args.n, d, args.trees, seed)
             return detector.score, data, x
 
         records.extend(bench_mod.dimension_sweep(
             factory, dims, args.n,
-            quantile_levels=args.quantiles, contamination=args.contamination,
-            repeats=args.repeats, seed=seed, detector="iforest",
+            quantile_levels=args.quantiles, contamination=_BENCH_CONTAMINATION,
+            repeats=args.repeats, seed=seed,
         ))
     _write_text(args.out, bench_mod.records_to_csv(records))
     print(bench_mod.format_table(records), end="")

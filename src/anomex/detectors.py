@@ -46,6 +46,22 @@ _PROJECT_CELLS = 2**18
 MAX_SUBSAMPLE = 2**20
 
 
+def check_forest_params(trees: int, subsample: int) -> None:
+    """ValueError unless a forest can have ``trees`` trees on ``subsample``-row samples."""
+    if trees < 1:
+        raise ValueError(f"need at least 1 tree, got {trees}")
+    if subsample < 2:
+        raise ValueError(f"subsample must be >= 2, got {subsample}")
+
+
+def check_loda_params(projections: int, bins: int) -> None:
+    """ValueError unless LODA can have ``projections`` histograms of ``bins`` bins."""
+    if projections < 1:
+        raise ValueError(f"need at least 1 projection, got {projections}")
+    if bins < 1:
+        raise ValueError(f"need at least 1 bin, got {bins}")
+
+
 def _as_batch(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
     """Check a batch against the model's features; reject non-finite cells.
 
@@ -190,10 +206,7 @@ class IsolationForest:
         n, d = data.rows.shape
         if n < 2:
             raise ValueError(f"need at least 2 training rows, got {n}")
-        if trees < 1:
-            raise ValueError(f"need at least 1 tree, got {trees}")
-        if subsample < 2:
-            raise ValueError(f"subsample must be >= 2, got {subsample}")
+        check_forest_params(trees, subsample)
         psi = min(subsample, n)
         if psi > MAX_SUBSAMPLE:
             raise ValueError(f"subsample must be <= {MAX_SUBSAMPLE}, got {psi}")
@@ -618,10 +631,7 @@ class Loda:
 
         A zero-variance projection collapses to a single-bin histogram.
         """
-        if projections < 1:
-            raise ValueError(f"need at least 1 projection, got {projections}")
-        if bins < 1:
-            raise ValueError(f"need at least 1 bin, got {bins}")
+        check_loda_params(projections, bins)
         n, d = data.rows.shape
         rng = np.random.default_rng(seed)
         nnz = math.ceil(math.sqrt(d))

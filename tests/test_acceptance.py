@@ -249,8 +249,7 @@ def test_criterion_07_timing_ordering():
     tau = fit_threshold(scores, 0.01)
     x = data.rows[int(np.argmax(scores))]
     grid = build_quantile_grid(data, 51)
-    setup = BenchSetup(grid=grid, weights=Weights(), threshold=tau,
-                       detector="iforest", n=data.n_rows, seed=7)
+    setup = BenchSetup(grid=grid, weights=Weights(), threshold=tau, n=data.n_rows, seed=7)
 
     ours = time_single_explanation(METHOD_QUANTILE_SWEEP, detector.score, x, setup, repeats=3)
 
@@ -289,6 +288,7 @@ def test_criterion_07_timing_ordering():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.timing
 def test_criterion_08_dimensionality_law():
     rng = np.random.default_rng(808)
     n = 400

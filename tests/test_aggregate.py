@@ -66,6 +66,21 @@ def test_overall_importance_errors_when_nothing_flagged():
         )
 
 
+@pytest.mark.parametrize("weights, top_positions, message", [
+    (Weights(), 0, "top_positions must be >= 1, got 0"),
+    ([1, 1, 1, 1], None, "weights must sum to 1"),
+], ids=["top-positions", "weights"])
+def test_overall_importance_checks_arguments_before_scoring(counting, weights, top_positions,
+                                                            message):
+    data = make_dataset(np.random.default_rng(0).normal(size=(30, 2)))
+    scorer = counting(lambda X: X[:, 0].copy())
+    with pytest.raises(ValueError, match=message):
+        # every row is flagged, so checking late would score them all first
+        overall_importance(scorer, data, build_quantile_grid(data, 5), weights, -np.inf,
+                           top_positions)
+    assert scorer.evaluations == 0
+
+
 def test_overall_importance_explains_exactly_the_flagged_points():
     rng = np.random.default_rng(1)
     data = make_dataset(rng.normal(size=(60, 3)))

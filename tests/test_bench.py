@@ -41,8 +41,7 @@ def quick_setup(data, k=15, **kw):
     scorer = kw.pop("scorer", lambda X: X.sum(axis=1))
     tau = fit_threshold(scorer(data.rows), 0.1)
     return scorer, BenchSetup(
-        grid=grid, weights=Weights(), threshold=tau,
-        detector="toy", n=data.n_rows, seed=0, **kw,
+        grid=grid, weights=Weights(), threshold=tau, n=data.n_rows, seed=0, **kw,
     )
 
 
@@ -50,14 +49,12 @@ def test_record_well_formed_for_constant_scorer():
     rng = np.random.default_rng(0)
     data = make_dataset(rng.normal(size=(40, 3)))
     grid = build_quantile_grid(data, 8)
-    setup = BenchSetup(grid=grid, weights=Weights(), threshold=0.5,
-                       detector="const", n=40, seed=0)
+    setup = BenchSetup(grid=grid, weights=Weights(), threshold=0.5, n=40, seed=0)
     rec = time_single_explanation(
         METHOD_QUANTILE_SWEEP, lambda X: np.ones(len(X)), data.rows[0], setup
     )
     assert rec.method == METHOD_QUANTILE_SWEEP
     assert rec.seconds > 0
-    assert rec.repeats == 3
     assert rec.background_size is None
     assert rec.coalitions is None
     assert rec.quantile_levels == 8
@@ -70,10 +67,9 @@ def test_repeats_floor_enforced():
     scorer, setup = quick_setup(data)
     with pytest.raises(ValueError):
         time_single_explanation(METHOD_QUANTILE_SWEEP, scorer, data.rows[0], setup, repeats=2)
-    with pytest.raises(ValueError):
-        TimingRecord(METHOD_QUANTILE_SWEEP, "toy", 10, 2, None, 5, None, 0.1, repeats=2, seed=0)
 
 
+@pytest.mark.timing
 def test_doubling_levels_roughly_doubles_sweep_time():
     rng = np.random.default_rng(2)
     data = make_dataset(rng.normal(size=(60, 6)))
@@ -81,8 +77,7 @@ def test_doubling_levels_roughly_doubles_sweep_time():
     times = {}
     for k in (30, 60):
         grid = build_quantile_grid(data, k)
-        setup = BenchSetup(grid=grid, weights=Weights(), threshold=0.0,
-                           detector="busy", n=60, seed=0)
+        setup = BenchSetup(grid=grid, weights=Weights(), threshold=0.0, n=60, seed=0)
         times[k] = time_single_explanation(
             METHOD_QUANTILE_SWEEP, scorer, data.rows[0], setup, repeats=5
         ).seconds
@@ -133,8 +128,8 @@ def test_dimension_sweep_single_value():
 
 
 def test_csv_layout():
-    rec = TimingRecord(METHOD_KERNELSHAP, "iforest", 100, 5, 50, 11, 64, 0.25, 3, 7)
-    rec2 = TimingRecord(METHOD_QUANTILE_SWEEP, "iforest", 100, 5, None, 11, None, 0.1, 3, 7)
+    rec = TimingRecord(METHOD_KERNELSHAP, 100, 5, 50, 11, 64, 0.25)
+    rec2 = TimingRecord(METHOD_QUANTILE_SWEEP, 100, 5, None, 11, None, 0.1)
     csv_text = records_to_csv([rec, rec2])
     lines = csv_text.strip().split("\n")
     assert lines[0] == "method,background_size,n,d,K,coalitions,seconds"
@@ -143,7 +138,7 @@ def test_csv_layout():
 
 
 def test_table_layout_mentions_background_share():
-    rec = TimingRecord(METHOD_KERNELSHAP, "iforest", 1000, 5, 100, 11, 64, 0.25, 3, 7)
+    rec = TimingRecord(METHOD_KERNELSHAP, 1000, 5, 100, 11, 64, 0.25)
     table = format_table([rec])
     assert "background size" in table
     assert "100 (10%)" in table
@@ -177,8 +172,7 @@ def test_records_reproducible_in_structure():
     first = snapshot()
     second = snapshot()
     for r1, r2 in zip(first, second):
-        for field in ("method", "detector", "n", "d", "background_size",
-                      "quantile_levels", "coalitions", "repeats", "seed"):
+        for field in ("method", "n", "d", "background_size", "quantile_levels", "coalitions"):
             assert getattr(r1, field) == getattr(r2, field)
 
 
@@ -199,7 +193,7 @@ def test_shape_dependent_gap_narrowing():
         tau = fit_threshold(scores, 0.05)
         x = data.rows[int(np.argmax(scores))]
         setup = BenchSetup(grid=bqg(data, 51), weights=Weights(), threshold=tau,
-                           detector="iforest", n=data.n_rows, seed=1, coalitions=128)
+                           n=data.n_rows, seed=1, coalitions=128)
         ours = time_single_explanation(
             METHOD_QUANTILE_SWEEP, model.score, x, setup, repeats=3
         )

@@ -297,11 +297,11 @@ def test_shap_document_matches_a_wrapped_scorer(workspace, coalitions):
     assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
-def test_bench_head2head_writes_csv(workspace, capsys):
+def test_bench_background_writes_csv(workspace, capsys):
     tmp, data, model = workspace
     out = tmp / "bench.csv"
     code = invoke(
-        "bench", "--suite", "head2head", "--out", str(out), "--seed", "1",
+        "bench", "--suite", "background", "--fractions", "0.1", "--out", str(out), "--seed", "1",
         "--n", "400", "--d", "6", "--coalitions", "48", "--quantiles", "11",
         "--trees", "20",
     )
@@ -370,6 +370,12 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
      "width must exceed 180 px, got 10"),
     (["explain", "--row", "0", "--svg", "x.svg", "--top-k", "0"], "top_k must be in [1, 6], got 0"),
     (["overall", "--svg", "x.svg", "--height", "10"], "height must exceed 86 px, got 10"),
+    (["fit", "--model", "iforest", "--seed", "1", "--trees", "0"], "need at least 1 tree, got 0"),
+    (["fit", "--model", "iforest", "--seed", "1", "--subsample", "1"],
+     "subsample must be >= 2, got 1"),
+    (["fit", "--model", "loda", "--seed", "1", "--projections", "0"],
+     "need at least 1 projection, got 0"),
+    (["fit", "--model", "loda", "--seed", "1", "--bins", "0"], "need at least 1 bin, got 0"),
 ])
 def test_usage_error_bad_flag_before_any_input_is_read(workspace, tmp_path, capsys, argv,
                                                          message):
@@ -555,14 +561,16 @@ def test_partly_flat_grid_names_the_constant_features(tmp_path, caplog):
     # explain and overall sweep the model's grid, so its K is not theirs to set
     ("explain", "--quantiles"),
     ("overall", "--quantiles"),
+    # the threshold it set labelled only the timed row, so no output read it
+    ("bench", "--contamination"),
 ], ids=["explain-threads", "overall-threads", "bench-threads", "explain-quantiles",
-        "overall-quantiles"])
+        "overall-quantiles", "bench-contamination"])
 def test_usage_error_removed_flag(workspace, tmp_path, capsys, command, flag):
     tmp, data, model = workspace
     args = {
         "explain": ["--model", str(model), "--input", str(data), "--has-labels", "--row", "0"],
         "overall": ["--model", str(model), "--input", str(data), "--has-labels"],
-        "bench": ["--suite", "head2head", "--seed", "1"],
+        "bench": ["--suite", "background", "--seed", "1"],
     }[command]
     out = tmp_path / "out"
     # 51 is the model's own K
@@ -574,11 +582,12 @@ def test_usage_error_removed_flag(workspace, tmp_path, capsys, command, flag):
 @pytest.mark.parametrize("flags, message", [
     (["--suite", "background", "--fractions", "0.1,2"], "fraction must be in (0, 1], got 2.0"),
     (["--suite", "background", "--fractions", "0.1,x"], "could not convert string to float: 'x'"),
-    (["--suite", "head2head", "--coalitions", "3"],
+    (["--suite", "background", "--coalitions", "3"],
      "coalition budget must be >= d + 1 = 51 at d=50, got 3"),
-    (["--suite", "head2head", "--quantiles", "1"], "--quantiles must be >= 2, got 1"),
+    (["--suite", "background", "--quantiles", "1"], "--quantiles must be >= 2, got 1"),
     (["--suite", "dimension", "--quantiles", "1"], "--quantiles must be >= 2, got 1"),
     (["--suite", "dimension", "--dims", "3,x"], "invalid literal for int() with base 10: 'x'"),
+    (["--suite", "background", "--trees", "0"], "need at least 1 tree, got 0"),
 ])
 def test_usage_error_bench_flag_before_any_workload_is_built(tmp_path, capsys, monkeypatch, flags,
                                                               message):
@@ -589,6 +598,14 @@ def test_usage_error_bench_flag_before_any_workload_is_built(tmp_path, capsys, m
     out = tmp_path / "bench.csv"
     assert invoke("bench", *flags, "--seed", "1", "--out", str(out)) == 1
     assert capsys.readouterr().err == f"anomex: usage error: {message}\n"
+    assert not out.exists()
+
+
+def test_usage_error_bench_suite_head2head_is_gone(tmp_path, capsys):
+    # it was --suite background --fractions 0.1 under another name
+    out = tmp_path / "bench.csv"
+    assert invoke("bench", "--suite", "head2head", "--seed", "1", "--out", str(out)) == 1
+    assert "invalid choice: 'head2head'" in capsys.readouterr().err
     assert not out.exists()
 
 
