@@ -9,23 +9,18 @@ minute; the full-size sweeps live in the bench CLI suite and the
 acceptance tests.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from anomex import (
-    BenchSetup,
     IsolationForest,
     SynthSpec,
-    Weights,
     background_sweep,
     build_quantile_grid,
     fit_threshold,
     format_table,
     generate,
     linear_fit,
-    sample_background,
-    time_single_explanation,
+    time_explain,
 )
 
 data = generate(SynthSpec(n_normal=5940, n_anomalies=60, d=30,
@@ -36,12 +31,9 @@ tau = fit_threshold(scores, contamination=0.01)
 x = data.rows[int(np.argmax(scores))]
 grid = build_quantile_grid(data, k_levels=51)
 
-setup = BenchSetup(grid=grid, weights=Weights(), threshold=tau,
-                   n=data.n_rows, seed=3, coalitions=256)
-
-records = [time_single_explanation("acme_ad", model.score, x, setup, repeats=3)]
+records = [time_explain(model.score, x, grid, tau, data.n_rows, repeats=3)]
 records += background_sweep(model.score, x, data, (0.05, 0.1, 0.25, 0.5),
-                            setup, repeats=3)
+                            coalitions=256, seed=3, repeats=3)
 print(format_table(records))
 
 sweep = records[1:]

@@ -55,14 +55,13 @@ from anomex.shap_baseline import (
     shap_to_dict,
 )
 from anomex.bench import (
-    BenchSetup,
     TimingRecord,
     background_sweep,
-    dimension_sweep,
     format_table,
     linear_fit,
     records_to_csv,
-    time_single_explanation,
+    time_explain,
+    time_kernel_shap,
 )
 from anomex.synth import SynthSpec, generate
 from anomex.viz import render_rank_bars, render_whatif
@@ -108,14 +107,13 @@ __all__ = [
     "sample_background",
     "shap_ranking",
     "shap_to_dict",
-    "BenchSetup",
     "TimingRecord",
     "background_sweep",
-    "dimension_sweep",
     "format_table",
     "linear_fit",
     "records_to_csv",
-    "time_single_explanation",
+    "time_explain",
+    "time_kernel_shap",
     "SynthSpec",
     "generate",
     "render_rank_bars",

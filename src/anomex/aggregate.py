@@ -17,7 +17,7 @@ import numpy as np
 
 from anomex.data import Dataset, QuantileGrid, Scorer, checked_scores
 from anomex.errors import DataError
-from anomex.explainer import Weights, explain, validate_weights
+from anomex.explainer import Weights, check_threshold, explain, validate_weights
 
 OTHERS_NAME = "others"
 DEFAULT_CUTOFF = 0.05
@@ -98,14 +98,15 @@ def overall_importance(
     their rankings are reduced in that order. Raises DataError when the
     detector flags nothing, rather than returning an empty histogram.
     ``scores``, the scorer's scores of ``data.rows`` when the caller has
-    them already, saves scoring the data again. ``top_positions`` and
-    ``weights`` are checked before anything is scored.
+    them already, saves scoring the data again. ``top_positions``,
+    ``weights`` and ``threshold`` are checked before anything is scored.
     """
     if top_positions is None:
         top_positions = min(data.n_features, 10)
     _check_positions(top_positions)
     if not isinstance(weights, Weights):
         weights = validate_weights(weights)
+    check_threshold(threshold)
     if scores is None:
         scores = scorer(data.rows)
     scores = checked_scores(scores, data.n_rows, lambda i: f"row {i}")

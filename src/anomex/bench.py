@@ -1,13 +1,17 @@
 """Latency harness for single-explanation timing and scaling sweeps.
 
-A warm-up run is always performed and discarded, and the reported
-seconds are the median over at least three repeats. The quantile sweep
-runs on the calling thread alone. KernelSHAP on an Isolation Forest's
-own ``score`` scores its coalitions on every CPU the process may run on
+``time_explain`` times the quantile sweep and ``time_kernel_shap`` the
+KernelSHAP baseline, each taking only what its method reads;
+``background_sweep`` runs the latter over fractions of the data. A
+warm-up run is always performed and discarded, and the reported seconds
+are the median over at least three repeats. The quantile sweep runs on
+the calling thread alone. KernelSHAP on an Isolation Forest's own
+``score`` scores its coalitions on every CPU the process may run on
 (see ``shap_baseline``), so a speedup of the sweep over that baseline
 understates the one against a serial KernelSHAP. A ``TimingRecord``
 holds what the reports show and nothing more: it serializes to CSV
-(method, background_size, n, d, K, coalitions, seconds) and to a text
+(method, background_size, n, d, K, coalitions, seconds), where K is
+empty on KernelSHAP rows and coalitions on sweep rows, and to a text
 table.
 """
 
@@ -15,14 +19,14 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from anomex.data import Dataset, QuantileGrid, Scorer, build_quantile_grid, fit_threshold
+from anomex.data import Dataset, QuantileGrid, Scorer
 from anomex.explainer import Weights, explain
-from anomex.shap_baseline import kernel_shap, sample_background
+from anomex.shap_baseline import check_background_fraction, kernel_shap, sample_background
 
 METHOD_QUANTILE_SWEEP = "acme_ad"
 METHOD_KERNELSHAP = "kernelshap"
@@ -37,7 +41,7 @@ class TimingRecord:
     n: int
     d: int
     background_size: int | None
-    quantile_levels: int
+    quantile_levels: int | None
     coalitions: int | None
     seconds: float
 
@@ -48,68 +52,67 @@ class TimingRecord:
             raise ValueError(f"elapsed seconds must be positive, got {self.seconds}")
 
 
-@dataclass(frozen=True, eq=False)
-class BenchSetup:
-    """Everything one timed explanation needs besides the scorer and x."""
+def _median_seconds(run: Callable[[], object], repeats: int) -> tuple[object, float]:
+    """One discarded warm-up, then the median wall time of ``repeats`` calls.
 
-    grid: QuantileGrid
-    weights: Weights
-    threshold: float
-    n: int
-    seed: int
-    background: Dataset | None = None
-    coalitions: int | None = None
-
-
-def time_single_explanation(
-    method: str,
-    scorer: Scorer,
-    x: np.ndarray,
-    setup: BenchSetup,
-    repeats: int = MIN_REPEATS,
-) -> TimingRecord:
-    """Median wall time of one local explanation, warm-up discarded.
-
-    The explanation output is sanity-checked (ranking is a permutation /
-    additivity holds) and then dropped; only the timing survives.
+    Returns the warm-up's result with the median.
     """
     if repeats < MIN_REPEATS:
         raise ValueError(f"need at least {MIN_REPEATS} repeats, got {repeats}")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    d = x.size
-
-    if method == METHOD_QUANTILE_SWEEP:
-        def run():
-            expl = explain(scorer, x, setup.grid, setup.weights, setup.threshold)
-            assert sorted(expl.ranking) == list(range(d))
-            return expl
-    elif method == METHOD_KERNELSHAP:
-        if setup.background is None:
-            raise ValueError("kernelshap timing needs a background dataset")
-
-        def run():
-            expl = kernel_shap(scorer, x, setup.background, setup.coalitions, setup.seed)
-            assert abs(expl.base_value + expl.phi.sum() - expl.score) <= 1e-6
-            return expl
-    else:
-        raise ValueError(f"method must be one of {_METHODS}, got {method!r}")
-
-    result = run()  # warm-up, discarded
+    result = run()
     times = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)
+    return result, float(statistics.median(times))
 
-    return TimingRecord(
-        method=method,
-        n=setup.n,
-        d=d,
-        background_size=(setup.background.n_rows if method == METHOD_KERNELSHAP else None),
-        quantile_levels=setup.grid.n_levels,
-        coalitions=(result.coalitions if method == METHOD_KERNELSHAP else None),
-        seconds=float(statistics.median(times)),
-    )
+
+def time_explain(
+    scorer: Scorer,
+    x: np.ndarray,
+    grid: QuantileGrid,
+    threshold: float,
+    n: int,
+    repeats: int = MIN_REPEATS,
+) -> TimingRecord:
+    """Median wall time of one quantile-sweep explanation at ``Weights()``.
+
+    Each ranking is checked to be a permutation and then dropped. ``n``
+    is the row count the record reports.
+    """
+    d = grid.n_features
+
+    def run():
+        expl = explain(scorer, x, grid, Weights(), threshold)
+        assert sorted(expl.ranking) == list(range(d))
+
+    _, seconds = _median_seconds(run, repeats)
+    return TimingRecord(METHOD_QUANTILE_SWEEP, n, d, None, grid.n_levels, None, seconds)
+
+
+def time_kernel_shap(
+    scorer: Scorer,
+    x: np.ndarray,
+    background: Dataset,
+    n: int,
+    coalitions: int | None = None,
+    seed: int = 0,
+    repeats: int = MIN_REPEATS,
+) -> TimingRecord:
+    """Median wall time of one KernelSHAP explanation over ``background``.
+
+    Each result is checked for additivity and then dropped. ``n`` is the
+    row count the record reports; its coalition count is the warm-up's.
+    """
+    def run():
+        expl = kernel_shap(scorer, x, background, coalitions, seed)
+        assert abs(expl.base_value + expl.phi.sum() - expl.score) <= 1e-6
+        return expl
+
+    result, seconds = _median_seconds(run, repeats)
+    return TimingRecord(METHOD_KERNELSHAP, n, background.n_features, background.n_rows, None,
+                        result.coalitions, seconds)
 
 
 def background_sweep(
@@ -117,58 +120,25 @@ def background_sweep(
     x: np.ndarray,
     data: Dataset,
     fractions: Sequence[float],
-    setup: BenchSetup,
+    coalitions: int | None = None,
+    seed: int = 0,
     repeats: int = MIN_REPEATS,
 ) -> list[TimingRecord]:
-    """KernelSHAP timing over ascending background fractions of ``data``."""
+    """KernelSHAP timing over ascending background fractions of ``data``.
+
+    Every fraction is checked before anything is sampled or timed.
+    """
     fracs = [float(f) for f in fractions]
     if fracs != sorted(fracs):
         raise ValueError("fractions must be sorted ascending")
-    records = []
     for frac in fracs:
-        bg = sample_background(data, frac, setup.seed)
-        records.append(
-            time_single_explanation(
-                METHOD_KERNELSHAP, scorer, x, replace(setup, background=bg), repeats
-            )
+        check_background_fraction(frac)
+    return [
+        time_kernel_shap(
+            scorer, x, sample_background(data, frac, seed), data.n_rows, coalitions, seed, repeats
         )
-    return records
-
-
-def dimension_sweep(
-    detector_factory: Callable[[int], tuple[Scorer, Dataset, np.ndarray]],
-    d_values: Sequence[int],
-    n: int,
-    *,
-    quantile_levels: int = 51,
-    weights: Weights | None = None,
-    contamination: float = 0.05,
-    repeats: int = MIN_REPEATS,
-    seed: int = 0,
-) -> list[TimingRecord]:
-    """Quantile-sweep explanation time across dimensionalities.
-
-    ``detector_factory(d)`` must return (scorer, training data with d
-    features and n rows, point to explain).
-    """
-    dims = [int(v) for v in d_values]
-    if dims != sorted(dims):
-        raise ValueError("d values must be sorted ascending")
-    weights = weights or Weights()
-    records = []
-    for d in dims:
-        scorer, data, x = detector_factory(d)
-        if data.n_features != d or data.n_rows != n:
-            raise ValueError(
-                f"factory returned {data.n_rows}x{data.n_features} data, expected {n}x{d}"
-            )
-        grid = build_quantile_grid(data, quantile_levels)
-        threshold = fit_threshold(scorer(data.rows), contamination)
-        setup = BenchSetup(grid=grid, weights=weights, threshold=threshold, n=n, seed=seed)
-        records.append(
-            time_single_explanation(METHOD_QUANTILE_SWEEP, scorer, x, setup, repeats)
-        )
-    return records
+        for frac in fracs
+    ]
 
 
 def records_to_csv(records: Sequence[TimingRecord]) -> str:
@@ -176,8 +146,9 @@ def records_to_csv(records: Sequence[TimingRecord]) -> str:
     lines = ["method,background_size,n,d,K,coalitions,seconds"]
     for r in records:
         bg = "" if r.background_size is None else str(r.background_size)
+        k = "" if r.quantile_levels is None else str(r.quantile_levels)
         co = "" if r.coalitions is None else str(r.coalitions)
-        lines.append(f"{r.method},{bg},{r.n},{r.d},{r.quantile_levels},{co},{r.seconds:.6f}")
+        lines.append(f"{r.method},{bg},{r.n},{r.d},{k},{co},{r.seconds:.6f}")
     return "\n".join(lines) + "\n"
 
 

@@ -11,9 +11,10 @@ not depend on the other rows of --input; a model without one (format
 version 1) is a model error there, while ``score`` and ``shap`` accept
 it. ``explain`` reads only the header and its own row of --input.
 ``shap`` samples its background from --input. ``bench`` times the
-sweep (and KernelSHAP over ``--fractions`` of the data, suite
-``background``) or the sweep alone across ``--dims`` (suite
-``dimension``) on a synthetic forest workload. Flag values that need no
+sweep and KernelSHAP over ``--fractions`` of a synthetic forest
+workload (suite ``background``), or the sweep alone on one such
+workload per ``--dims`` value (suite ``dimension``); its CSV leaves K
+empty on KernelSHAP rows, which sweep no grid. Flag values that need no
 data are checked before --input is read or bench data is generated.
 Warnings and the label diagnostics of ``score`` and ``overall`` go to
 stderr through ``logging``.
@@ -411,28 +412,20 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         coalitions = coalition_budget(args.coalitions, args.d)
         data, detector, threshold, x = _bench_workload(args.n, args.d, args.trees, seed)
         grid = build_quantile_grid(data, args.quantiles)
-        setup = bench_mod.BenchSetup(
-            grid=grid, weights=validate_weights((0.3, 0.3, 0.2, 0.2)),
-            threshold=threshold, n=data.n_rows, seed=seed, coalitions=coalitions,
-        )
-        records.append(bench_mod.time_single_explanation(
-            bench_mod.METHOD_QUANTILE_SWEEP, detector.score, x, setup, args.repeats
+        records.append(bench_mod.time_explain(
+            detector.score, x, grid, threshold, data.n_rows, args.repeats
         ))
         records.extend(bench_mod.background_sweep(
-            detector.score, x, data, fractions, setup, args.repeats
+            detector.score, x, data, fractions, coalitions, seed, args.repeats
         ))
     else:  # dimension
         dims = sorted(int(v) for v in args.dims.split(","))
-
-        def factory(d: int):
-            data, detector, _, x = _bench_workload(args.n, d, args.trees, seed)
-            return detector.score, data, x
-
-        records.extend(bench_mod.dimension_sweep(
-            factory, dims, args.n,
-            quantile_levels=args.quantiles, contamination=_BENCH_CONTAMINATION,
-            repeats=args.repeats, seed=seed,
-        ))
+        for d in dims:
+            data, detector, threshold, x = _bench_workload(args.n, d, args.trees, seed)
+            grid = build_quantile_grid(data, args.quantiles)
+            records.append(bench_mod.time_explain(
+                detector.score, x, grid, threshold, data.n_rows, args.repeats
+            ))
     _write_text(args.out, bench_mod.records_to_csv(records))
     print(bench_mod.format_table(records), end="")
     return 0

@@ -89,6 +89,12 @@ def validate_weights(values: Sequence[float]) -> Weights:
     return Weights(*vals)
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless the classification threshold is finite."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
+
+
 @dataclass(frozen=True, eq=False)
 class LocalExplanation:
     """Full what-if record for one explained point.
@@ -169,11 +175,12 @@ def explain(
         x: the point to explain, shape (d,).
         grid: quantile grid built on the training data.
         weights: convex metric weights.
-        threshold: classification cutoff (strictly above = anomalous).
+        threshold: finite classification cutoff (strictly above = anomalous).
         feature_names: labels for reports; defaults to f0..f{d-1}.
     """
     if not isinstance(weights, Weights):
         weights = validate_weights(weights)
+    check_threshold(threshold)
     x = np.array(x, dtype=np.float64).ravel()
     d = grid.n_features
     if x.size != d:

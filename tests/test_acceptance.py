@@ -15,15 +15,7 @@ import numpy as np
 import pytest
 
 from anomex.aggregate import merge_others, rank_histogram
-from anomex.bench import (
-    METHOD_KERNELSHAP,
-    METHOD_QUANTILE_SWEEP,
-    BenchSetup,
-    background_sweep,
-    dimension_sweep,
-    linear_fit,
-    time_single_explanation,
-)
+from anomex.bench import background_sweep, linear_fit, time_explain, time_kernel_shap
 from anomex.data import QuantileGrid, build_quantile_grid, fit_threshold
 from anomex.detectors import IsolationForest
 from anomex.explainer import Weights, explain
@@ -249,24 +241,18 @@ def test_criterion_07_timing_ordering():
     tau = fit_threshold(scores, 0.01)
     x = data.rows[int(np.argmax(scores))]
     grid = build_quantile_grid(data, 51)
-    setup = BenchSetup(grid=grid, weights=Weights(), threshold=tau, n=data.n_rows, seed=7)
 
-    ours = time_single_explanation(METHOD_QUANTILE_SWEEP, detector.score, x, setup, repeats=3)
+    ours = time_explain(detector.score, x, grid, tau, data.n_rows, repeats=3)
 
     # head-to-head at 10% background with the default coalition budget
     bg10 = sample_background(data, 0.10, seed=7)
-    from dataclasses import replace
-
-    theirs = time_single_explanation(
-        METHOD_KERNELSHAP, detector.score, x, replace(setup, background=bg10), repeats=3
-    )
+    theirs = time_kernel_shap(detector.score, x, bg10, data.n_rows, seed=7, repeats=3)
     speedup = theirs.seconds / ours.seconds
     assert speedup >= 5.0
 
     # ascending background sweep with a reduced coalition budget
     sweep = background_sweep(
-        detector.score, x, data, (0.05, 0.10, 0.20, 0.50),
-        replace(setup, coalitions=256), repeats=3,
+        detector.score, x, data, (0.05, 0.10, 0.20, 0.50), 256, seed=7, repeats=3,
     )
     times = [r.seconds for r in sweep]
     sizes = [r.background_size for r in sweep]
@@ -303,13 +289,12 @@ def test_criterion_08_dimensionality_law():
             out[i] = acc
         return out
 
-    def factory(d):
+    times = {}
+    for d in (10, 20, 40):
         data = make_dataset(rng.normal(size=(n, d)))
-        return fixed_cost_scorer, data, data.rows[0]
-
-    records = dimension_sweep(factory, [10, 20, 40], n,
-                              quantile_levels=51, repeats=5, seed=8)
-    times = {r.d: r.seconds for r in records}
+        tau = fit_threshold(fixed_cost_scorer(data.rows), 0.05)
+        times[d] = time_explain(fixed_cost_scorer, data.rows[0], build_quantile_grid(data, 51),
+                                tau, n, repeats=5).seconds
     ratios = []
     for d1, d2 in ((10, 20), (20, 40), (10, 40)):
         observed = times[d2] / times[d1]

@@ -74,10 +74,11 @@ def test_overall_importance_checks_arguments_before_scoring(counting, weights, t
                                                             message):
     data = make_dataset(np.random.default_rng(0).normal(size=(30, 2)))
     scorer = counting(lambda X: X[:, 0].copy())
+    below_every_score = float(data.rows[:, 0].min()) - 1.0
     with pytest.raises(ValueError, match=message):
         # every row is flagged, so checking late would score them all first
-        overall_importance(scorer, data, build_quantile_grid(data, 5), weights, -np.inf,
-                           top_positions)
+        overall_importance(scorer, data, build_quantile_grid(data, 5), weights,
+                           below_every_score, top_positions)
     assert scorer.evaluations == 0
 
 

@@ -308,8 +308,10 @@ def test_bench_background_writes_csv(workspace, capsys):
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "method,background_size,n,d,K,coalitions,seconds"
-    methods = [ln.split(",")[0] for ln in lines[1:]]
-    assert methods == ["acme_ad", "kernelshap"]
+    # every column but seconds; KernelSHAP sweeps no grid, so its K is empty
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == [
+        "acme_ad,,400,6,11,", "kernelshap,40,400,6,,48",
+    ]
     table = capsys.readouterr().out
     assert "elapsed time" in table
 
@@ -322,8 +324,8 @@ def test_bench_dimension_suite(workspace, tmp_path):
     )
     assert code == 0
     lines = out.read_text().strip().split("\n")
-    assert len(lines) == 3
-    assert [ln.split(",")[3] for ln in lines[1:]] == ["3", "5"]
+    assert lines[0] == "method,background_size,n,d,K,coalitions,seconds"
+    assert [ln.rsplit(",", 1)[0] for ln in lines[1:]] == ["acme_ad,,300,3,9,", "acme_ad,,300,5,9,"]
 
 
 # -- failure modes map to documented exit codes -----------------------------------

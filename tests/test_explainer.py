@@ -428,6 +428,19 @@ def test_explain_rejects_dimension_mismatch():
         explain(identity_first_feature, np.zeros(3), grid, Weights(), 0.5)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_threshold_rejected_before_scoring(bad):
+    # NaN classified every row normal with C = 0 and wrote NaN into the JSON
+    data = make_dataset(np.random.default_rng(0).normal(size=(30, 2)))
+    grid = build_quantile_grid(data, 5)
+    scorer = CountingScorer(identity_first_feature)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        explain(scorer, data.rows[0], grid, Weights(), bad)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        overall_importance(scorer, data, grid, Weights(), bad)
+    assert scorer.evaluations == 0
+
+
 # -- JSON document ---------------------------------------------------------------
 
 
