@@ -15,8 +15,9 @@ Everything downstream works with three primitives defined here:
 One reader serves ``load_csv`` (every row) and ``load_csv_row`` (the
 header and one row, the others not validated). A plain file (see
 ``_record`` for its header line, ``_plain_line_ends`` for the rest) is
-scanned in binary blocks: a whole read streams its lines into
-``np.loadtxt``, a row read stops at its row. Any other file takes the
+scanned in binary blocks: a whole read parses each block with
+``np.loadtxt`` into arrays sized once, a row read stops at its row, and
+neither holds more of the file than one block. Any other file takes the
 exact path, csv.reader record by record, where a row read still reads
 every record but parses only its own.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -173,7 +173,7 @@ def _read(path: str | Path, index: int | None, has_labels: bool) -> Dataset:
     if not path.is_file():
         raise DataError(f"no such file: {path}")
     try:
-        header, n_rows, body = _read_plain(path, index)
+        header, n_rows, body = _read_plain(path, index, has_labels)
     except ValueError:
         header, n_rows, body = _read_exact(path, index)
     if header is None:
@@ -186,9 +186,10 @@ def _read(path: str | Path, index: int | None, has_labels: bool) -> Dataset:
     if not 0 <= first < n_rows:
         _check_unique(names)  # as a whole read's Dataset would
         raise RowOutOfRange(first, n_rows)
-    if not isinstance(body, np.ndarray):
-        body = _parse_cells(path, header, body, first)
-    return _dataset(path, names, body, has_labels, first)
+    if isinstance(body, list):  # records, parsed and checked cell by cell
+        values = _parse_cells(path, header, body, first)
+        body = (values[:, :-1], values[:, -1]) if has_labels else (values, None)
+    return _dataset(path, names, *body, first)
 
 
 def _feature_columns(path: Path, header: list[str], has_labels: bool) -> list[str]:
@@ -204,16 +205,15 @@ def _feature_columns(path: Path, header: list[str], has_labels: bool) -> list[st
 
 
 def _dataset(
-    path: Path, names: list[str], values: np.ndarray, has_labels: bool, first: int
+    path: Path, names: list[str], features: np.ndarray, labels: np.ndarray | None, first: int
 ) -> Dataset:
     """A Dataset of parsed cells whose row 0 is the file's row ``first``; checks labels."""
-    if not has_labels:
-        return Dataset(tuple(names), values)
-    labels = values[:, -1]
-    if not np.isin(labels, (0.0, 1.0)).all():
-        i = int(np.nonzero(~np.isin(labels, (0.0, 1.0)))[0][0])
-        raise DataError(f"{path}: label at row {first + i + 1} is not 0 or 1")
-    return Dataset(tuple(names), values[:, :-1], labels.astype(np.int64))
+    if labels is None:
+        return Dataset(tuple(names), features)
+    bad = np.flatnonzero(~np.isin(labels, (0.0, 1.0)))
+    if bad.size:
+        raise DataError(f"{path}: label at row {first + int(bad[0]) + 1} is not 0 or 1")
+    return Dataset(tuple(names), features, labels.astype(np.int64))
 
 
 def _read_exact(path: Path, index: int | None) -> tuple[list[str] | None, int, list]:
@@ -239,10 +239,14 @@ def _read_exact(path: Path, index: int | None) -> tuple[list[str] | None, int, l
     return header, n_rows, kept
 
 
-def _read_plain(path: Path, index: int | None) -> tuple[list[str], int, np.ndarray | list]:
+def _read_plain(
+    path: Path, index: int | None, has_labels: bool
+) -> tuple[list[str], int, tuple[np.ndarray, np.ndarray | None] | list]:
     """The header, row count and body of a plain file, from its line scan.
 
-    A whole read streams the body into one ``np.loadtxt`` call; a row read
+    A whole read parses each scanned block with its own ``np.loadtxt`` into
+    a feature array and, with ``has_labels``, a label vector of the last
+    column, both allocated once for the body's line count; a row read
     decodes row ``index`` only and stops there, counting ``index + 1`` rows.
     ValueError wherever ``_read_exact`` must read the file instead.
     """
@@ -251,33 +255,41 @@ def _read_plain(path: Path, index: int | None) -> tuple[list[str], int, np.ndarr
         if not line:
             raise ValueError("an empty file")
         header = _record(line)
-        scan = _plain_blocks(fh)
         if index is not None:
             seen = 0  # rows before `block`
-            for block, starts, ends in scan:
+            for block, starts, ends in _plain_blocks(fh):
                 k = index - seen
                 if 0 <= k < starts.size:
                     return header, index + 1, [_record(block[starts[k] : ends[k] + 1])]
                 seen += starts.size
             return header, seen, []
-        lines = (
-            block[s:e]
-            for block, starts, ends in scan
-            for s, e in zip(starts.tolist(), ends.tolist())
-        )
-        first = next(lines, None)
-        if first is None:  # loadtxt would warn that the input holds no data
-            return header, 0, []
-        # comments=None: with numpy's default a '#...' row would be dropped
-        values = np.loadtxt(
-            map(bytes.decode, itertools.chain((first,), lines)),
-            delimiter=",", comments=None, dtype=np.float64, ndmin=2,
-        )
-    # numpy rounds like float(), so finite values of the right width are
-    # bit-identical to _parse_cells'; anything else needs its error text
-    if values.shape[1] != len(header) or not np.isfinite(values).all():
-        raise ValueError("the body needs the per-cell checks")
-    return header, values.shape[0], values
+        body = fh.tell()
+        chunks = iter(lambda: fh.read(_ROW_SCAN_BYTES), b"")
+        bound = 1 + sum(chunk.count(b"\n") for chunk in chunks)  # rows, blank lines too
+        fh.seek(body)
+        width = len(header)
+        n_features = width - 1 if has_labels else width  # -1 fails, for _read_exact to word
+        features = np.empty((bound, n_features))
+        labels = np.empty(bound) if has_labels else None
+        n_rows = 0
+        for block, starts, ends in _plain_blocks(fh):
+            # comments=None: with numpy's default a '#...' row would be dropped
+            values = np.loadtxt(
+                (block[s:e].decode() for s, e in zip(starts.tolist(), ends.tolist())),
+                delimiter=",", comments=None, dtype=np.float64, ndmin=2,
+            )
+            # numpy rounds like float(), so finite values of the right width are
+            # bit-identical to _parse_cells'; anything else needs its error text
+            if values.shape[1] != width or not np.isfinite(values).all():
+                raise ValueError("the body needs the per-cell checks")
+            rows = slice(n_rows, n_rows + values.shape[0])
+            features[rows] = values[:, :n_features]
+            if labels is not None:
+                labels[rows] = values[:, -1]
+            n_rows = rows.stop
+    if n_rows == 0:
+        return header, 0, []
+    return header, n_rows, (features[:n_rows], None if labels is None else labels[:n_rows])
 
 
 def _record(line: bytes) -> list[str]:
@@ -398,7 +410,11 @@ def _parse_cells(
     return values
 
 
-_SAVE_BLOCK_ROWS = 1024
+# Rows formatted per write of save_csv. Against 1024 rows, 256 cut an
+# `anomex synth` process of the 20000x50 criterion-7 file from 53.3 to
+# 47.5 MB peak RSS, wrote the same bytes and took no longer (a median of
+# 0.70 against 0.78 s over 12 alternating saves).
+_SAVE_BLOCK_ROWS = 256
 
 
 def save_csv(data: Dataset, path: str | Path) -> None:

@@ -22,19 +22,23 @@ import numpy as np
 from anomex.data import Dataset, QuantileGrid
 from anomex.errors import DataError, ModelError
 
-# Rows scored per block: bounds the (rows, n_trees) walker matrices and
-# the (rows, n_projections) LODA sweep matrices (3.3 MB each at 100)
-# whatever the batch size. Every row is scored on its own, so the block
-# size changes no result.
+# Swept rows per block of both score_sweeps: bounds the (rows, n_trees)
+# walker matrices and the (rows, n_projections) LODA sweep matrices
+# (3.3 MB each at 100) whatever the grid size. Smaller blocks measured
+# slower (LODA: 1.58 against 1.42 ms per sweep).
 _BLOCK_ROWS = 4096
 
-# Background rows per block of a coalition scorer. Each share of
-# kernel_shap holds one block's temporaries, about 2 KB a row on a
-# 100-tree forest. With 2 shares of 2148 coalitions on a 2000-row
-# background (20000x50 forest), 1024-row blocks took 5.6 s and added
-# 2.8 MB to a 74 MB peak RSS, against 5.3 s and 5.3 MB for one block
-# and 6.7 s and 1.5 MB for 512-row blocks.
-_COALITION_BLOCK_ROWS = 1024
+# Rows per block of the forest's batch walkers, in ``score`` and in a
+# coalition scorer; each block holds about 2 KB of temporaries a row on a
+# 100-tree forest. Every row is walked on its own, so the block size
+# changes no result. ``score`` on a 100-tree forest raised the traced
+# peak by 2.7 MB with these blocks, against 10.7 MB with 4096-row ones,
+# and 20000x50 rows took 137 against 169 ms (medians of 30 alternating
+# calls, faster in all 30). In kernel_shap, with 2 shares of 2148 coalitions on a
+# 2000-row background (20000x50 forest), 1024-row blocks took 5.6 s and
+# added 2.8 MB to a 74 MB peak RSS, against 5.3 s and 5.3 MB for one
+# block and 6.7 s and 1.5 MB for 512-row blocks.
+_WALK_BLOCK_ROWS = 1024
 
 # Cells of the (slots, M, rows) product array per block of Loda.score:
 # 2 MB, cache-sized, which halved the time of a 5000-row batch against
@@ -60,6 +64,23 @@ def check_loda_params(projections: int, bins: int) -> None:
         raise ValueError(f"need at least 1 projection, got {projections}")
     if bins < 1:
         raise ValueError(f"need at least 1 bin, got {bins}")
+
+
+def _check_span(data: Dataset, what: str) -> None:
+    """DataError naming the first feature whose range overflows float64.
+
+    The forest's split draws, LODA's bins and the quantile levels all
+    take a feature's max - min as a finite number.
+    """
+    lo, hi = data.rows.min(axis=0), data.rows.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(hi - lo))
+    if wide.size:
+        j = int(wide[0])
+        raise DataError(
+            f"{what}: feature {data.feature_names[j]!r} spans {float(lo[j])!r} to "
+            f"{float(hi[j])!r}, a range wider than float64 holds"
+        )
 
 
 def _as_batch(x: np.ndarray, names: tuple[str, ...], what: str) -> np.ndarray:
@@ -207,6 +228,7 @@ class IsolationForest:
         if n < 2:
             raise ValueError(f"need at least 2 training rows, got {n}")
         check_forest_params(trees, subsample)
+        _check_span(data, "IsolationForest.fit")
         psi = min(subsample, n)
         if psi > MAX_SUBSAMPLE:
             raise ValueError(f"subsample must be <= {MAX_SUBSAMPLE}, got {psi}")
@@ -252,8 +274,8 @@ class IsolationForest:
         m, d = batch.shape
         flat = batch.ravel()
         out = np.empty(m)
-        for a in range(0, m, _BLOCK_ROWS):
-            rows = np.arange(a, min(a + _BLOCK_ROWS, m))
+        for a in range(0, m, _WALK_BLOCK_ROWS):
+            rows = np.arange(a, min(a + _WALK_BLOCK_ROWS, m))
             node = np.broadcast_to(self._roots, (rows.size, self.n_trees))
             out[a : a + rows.size] = self._score_of(self._walk(flat, rows[:, None] * d, node))
         return out
@@ -358,8 +380,8 @@ class IsolationForest:
         x_right = point.take(x_feature) >= x_threshold
 
         blocks = []
-        for a in range(0, len(bg), _COALITION_BLOCK_ROWS):
-            block = bg[a : a + _COALITION_BLOCK_ROWS]
+        for a in range(0, len(bg), _WALK_BLOCK_ROWS):
+            block = bg[a : a + _WALK_BLOCK_ROWS]
             rows = len(block)
             base = np.arange(rows)[:, None] * d
             flat = block.ravel()
@@ -632,6 +654,7 @@ class Loda:
         A zero-variance projection collapses to a single-bin histogram.
         """
         check_loda_params(projections, bins)
+        _check_span(data, "Loda.fit")
         n, d = data.rows.shape
         rng = np.random.default_rng(seed)
         nnz = math.ceil(math.sqrt(d))
@@ -639,9 +662,16 @@ class Loda:
         for i in range(projections):
             cols = rng.choice(d, size=nnz, replace=False)
             w[i, cols] = rng.normal(size=nnz)
-        z = data.rows @ w.T  # (n, M)
-        lo = z.min(axis=0)
-        hi = z.max(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = data.rows @ w.T  # (n, M)
+            lo = z.min(axis=0)
+            hi = z.max(axis=0)
+            wide = np.flatnonzero(~np.isfinite(hi - lo))
+        if wide.size:  # finite features whose weighted sum overflows
+            names = [data.feature_names[j] for j in np.flatnonzero(w[wide[0]])]
+            raise DataError(
+                f"Loda.fit: projection {int(wide[0])} of features {names} overflows float64"
+            )
         bin_lo = lo.copy()
         bin_width = np.empty(projections)
         probs: list[np.ndarray] = []

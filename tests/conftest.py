@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,21 @@ def make_dataset(rows, names=None, labels=None):
     if names is None:
         names = tuple(f"f{j}" for j in range(rows.shape[1]))
     return Dataset(tuple(names), rows, labels)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw allocated while it ran.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts
+    every temporary array; it repeats exactly from run to run.
+    """
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def random_scorer(rng, d):

@@ -423,6 +423,48 @@ def test_data_error_unreadable_csv(tmp_path, capsys, body, message):
     assert message in capsys.readouterr().err
 
 
+def fit_in_a_process(tmp_path, body, model):
+    """Exit code and stderr of an ``anomex fit`` process on a CSV holding ``body``."""
+    data = tmp_path / "extreme.csv"
+    data.write_text(body)
+    proc = subprocess.run(
+        [sys.executable, "-m", "anomex.cli", "fit", "--input", str(data), "--model", model,
+         "--seed", "1", "--out", str(tmp_path / "m.json")],
+        env=cli_env(), capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stderr
+
+
+# a column spanning -1e308 to 1e308: max - min overflows float64
+WIDER_THAN_FLOAT64 = "a,b\n1e308,1\n-1e308,2\n1e308,3\n0,4\n5,5\n"
+
+
+def test_data_error_iforest_fit_on_a_feature_wider_than_float64(tmp_path):
+    # the split draw raised OverflowError, a traceback
+    code, err = fit_in_a_process(tmp_path, WIDER_THAN_FLOAT64, "iforest")
+    assert (code, err) == (
+        2, "anomex: data error: IsolationForest.fit: feature 'a' spans -1e+308 to 1e+308, "
+        "a range wider than float64 holds\n",
+    )
+
+
+def test_data_error_loda_fit_on_a_feature_wider_than_float64(tmp_path):
+    # the bins warned of overflows, then a NaN bin index was a usage error (exit 1)
+    code, err = fit_in_a_process(tmp_path, WIDER_THAN_FLOAT64, "loda")
+    assert (code, err) == (
+        2, "anomex: data error: Loda.fit: feature 'a' spans -1e+308 to 1e+308, "
+        "a range wider than float64 holds\n",
+    )
+
+
+def test_data_error_loda_fit_on_a_projection_wider_than_float64(tmp_path):
+    # every feature's range is finite, but a weighted sum of 1.5e308 overflows
+    code, err = fit_in_a_process(tmp_path, "a,b\n1.5e308,1\n0,2\n1e308,3\n0,4\n5,5\n", "loda")
+    assert (code, err) == (
+        2, "anomex: data error: Loda.fit: projection 8 of features ['a', 'b'] overflows float64\n",
+    )
+
+
 def test_data_error_no_anomalies(workspace, capsys, tmp_path):
     tmp, data, model = workspace
     # rebuild the model with an impossible threshold by hand

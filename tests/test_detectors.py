@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from anomex.data import QuantileGrid, build_quantile_grid, fit_threshold
 from anomex.detectors import (
     _BLOCK_ROWS,
-    _COALITION_BLOCK_ROWS,
+    _WALK_BLOCK_ROWS,
     MAX_SUBSAMPLE,
     MODEL_FORMAT_VERSION,
     IsolationForest,
@@ -24,7 +24,7 @@ from anomex.detectors import (
 from anomex.errors import DataError, ModelError
 from anomex.explainer import Weights, explain
 
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +160,7 @@ def test_score_sweep_is_score_of_the_swept_batch(d, k, n, trees, constant, only_
 def test_score_is_blockwise_exact(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=1)
     rng = np.random.default_rng(5)
-    batch = rng.normal(size=(2 * _BLOCK_ROWS + 1, 4))
+    batch = rng.normal(size=(2 * _WALK_BLOCK_ROWS + 1, 4))
     one_by_one = np.concatenate([model.score(row) for row in batch])
     assert np.array_equal(model.score(batch), one_by_one)
     assert model.score(np.empty((0, 4))).shape == (0,)
@@ -168,6 +168,16 @@ def test_score_is_blockwise_exact(gaussian_data):
     grid = QuantileGrid(np.sort(rng.normal(size=(4, _BLOCK_ROWS // 2 + 1)), axis=1))
     expected = model.score(swept_batch(batch[0], grid.values)).reshape(grid.values.shape)
     assert np.array_equal(model.score_sweep(batch[0], grid), expected)
+
+
+def test_score_holds_one_walker_block_beside_its_result(gaussian_data):
+    # Traced peak of scoring 5000 rows on a 100-tree forest, beyond the 40 KB
+    # of scores: 2.7 MB walking 1024-row blocks, 10.7 MB walking 4096-row
+    # blocks (about 26 bytes a row and tree), the same at 20000 rows.
+    model = IsolationForest.fit(gaussian_data, trees=100, seed=1)
+    batch = np.random.default_rng(5).normal(size=(5000, 4))
+    scores, peak = traced_peak(lambda: model.score(batch))
+    assert peak < scores.nbytes + 4_000_000
 
 
 def test_score_sweep_walks_one_row_per_threshold_interval(monkeypatch):
@@ -323,12 +333,12 @@ def test_coalition_scorer_is_score_of_the_hybrid_rows(d, n_bg, n_masks, trees, v
 def test_coalition_scorer_spans_blocks(gaussian_data):
     model = IsolationForest.fit(gaussian_data, trees=10, subsample=64, seed=2)
     rng = np.random.default_rng(6)
-    background = rng.normal(size=(_COALITION_BLOCK_ROWS + 5, 4))
+    background = rng.normal(size=(_WALK_BLOCK_ROWS + 5, 4))
     x = gaussian_data.rows[int(np.argmax(model.score(gaussian_data.rows)))]
     masks = np.array([[True, False, False, True], [False, True, True, False]])
     expected = model.score(hybrid_rows(x, background, masks)).reshape(2, -1)
     assert np.array_equal(coalition_scores(model, x, background, masks), expected)
-    assert coalition_scores(model, x, background, masks[:0]).shape == (0, _COALITION_BLOCK_ROWS + 5)
+    assert coalition_scores(model, x, background, masks[:0]).shape == (0, _WALK_BLOCK_ROWS + 5)
     assert coalition_scores(model, x, background[:0], masks).shape == (2, 0)
 
 
