@@ -122,7 +122,7 @@ def merge_others(hist: RankHistogram, cutoff: float = DEFAULT_CUTOFF) -> RankHis
 
     A feature is retained if it reaches the cutoff at at least one
     position; the merged row preserves column sums. With nothing to
-    merge the input is returned unchanged.
+    merge the input is returned unchanged. DataError if a kept feature is named ``others``.
     """
     if not 0.0 < cutoff < 1.0:
         raise ValueError(f"cutoff must be in (0, 1), got {cutoff}")
@@ -131,7 +131,7 @@ def merge_others(hist: RankHistogram, cutoff: float = DEFAULT_CUTOFF) -> RankHis
         return hist
     kept_names = [hist.feature_names[j] for j in np.nonzero(keep)[0]]
     if OTHERS_NAME in kept_names:
-        raise ValueError(f"cannot merge: a feature is already named {OTHERS_NAME!r}")
+        raise DataError(f"cannot merge: a feature is already named {OTHERS_NAME!r}")
     merged = np.vstack([hist.matrix[keep], hist.matrix[~keep].sum(axis=0)])
     return RankHistogram(tuple(kept_names) + (OTHERS_NAME,), merged, hist.n_anomalies)
 

@@ -156,10 +156,8 @@ def format_table(records: Sequence[TimingRecord]) -> str:
     """Aligned text table: method, background size, elapsed seconds."""
     rows = [("method", "background size", "elapsed time (s)")]
     for r in records:
-        if r.background_size is None:
-            bg = f"{r.n} (100%)" if r.method == METHOD_QUANTILE_SWEEP else "-"
-        else:
-            bg = f"{r.background_size} ({r.background_size / r.n:.0%})"
+        bg = f"{r.n} (100%)" if r.background_size is None else (
+            f"{r.background_size} ({r.background_size / r.n:.0%})")
         rows.append((r.method, bg, f"{r.seconds:.2f}"))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     out = []

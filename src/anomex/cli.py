@@ -14,10 +14,11 @@ it. ``explain`` reads only the header and its own row of --input.
 sweep and KernelSHAP over ``--fractions`` of a synthetic forest
 workload (suite ``background``), or the sweep alone on one such
 workload per ``--dims`` value (suite ``dimension``); its CSV leaves K
-empty on KernelSHAP rows, which sweep no grid. Flag values that need no
-data are checked before --input is read or bench data is generated.
-Warnings and the label diagnostics of ``score`` and ``overall`` go to
-stderr through ``logging``.
+empty on KernelSHAP rows, which sweep no grid. Each flag's value is
+checked by its own rule as the command line is parsed; --coalitions,
+--top-k and the synth spec, which need d or several flags, are checked
+before --input is read or data generated. Warnings and the label
+diagnostics of ``score`` and ``overall`` go to stderr through ``logging``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,22 +89,67 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _usage(check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ValueError raised as a UsageError of the same message."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _flag(parse: Callable[[str], object], check: Callable) -> Callable[[str], object]:
+    """An argparse ``type=``: ``parse`` the text, then ``check`` the value under ``_usage``.
+
+    The flag holds what ``check`` returns, or the parsed value if that is None.
+    """
+    def convert(text: str) -> object:
+        value = parse(text)
+        checked = _usage(check, value)
+        return value if checked is None else checked
+
+    convert.__name__ = parse.__name__  # argparse names it in "invalid int value: 'x'"
+    return convert
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+_seed = _flag(int, lambda v: _require(v >= 0, f"--seed must be >= 0, got {v}"))
+
+
+def _fractions(text: str) -> list[float]:
+    fractions = sorted(float(f) for f in text.split(","))
+    for fraction in fractions:
+        check_background_fraction(fraction)
+    return fractions
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="anomex", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
+    row = _flag(int, lambda v: _require(v >= 0, f"--row must be >= 0, got {v}"))
+    quantiles = _flag(int, lambda v: _require(v >= 2, f"--quantiles must be >= 2, got {v}"))
+    weights = _flag(str, lambda text: validate_weights(text.split(",")))
+    trees = _flag(int, lambda n: check_forest_params(n, subsample=2))
 
     p = sub.add_parser("fit", help="fit a detector on a CSV and save it as JSON")
     p.add_argument("--input", required=True, help="training CSV with a header row")
     p.add_argument("--model", required=True, choices=("iforest", "loda"))
-    p.add_argument("--contamination", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--contamination", default=0.05, type=_flag(
+        float, lambda v: _require(0 < v < 1, f"--contamination must be in (0, 1), got {v}")))
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="model JSON path")
     p.add_argument("--has-labels", action="store_true", help="input has a trailing label column")
-    p.add_argument("--trees", type=int, default=100, help="iforest: ensemble size")
-    p.add_argument("--subsample", type=int, default=256, help="iforest: per-tree sample size")
-    p.add_argument("--projections", type=int, default=100, help="loda: projection count")
-    p.add_argument("--bins", type=int, default=100, help="loda: histogram bins")
-    p.add_argument("--quantiles", type=int, default=DEFAULT_QUANTILES,
+    p.add_argument("--trees", type=trees, default=100, help="iforest: ensemble size")
+    p.add_argument("--subsample", type=_flag(int, lambda n: check_forest_params(1, n)),
+                   default=256, help="iforest: per-tree sample size")
+    p.add_argument("--projections", type=_flag(int, lambda n: check_loda_params(n, bins=1)),
+                   default=100, help="loda: projection count")
+    p.add_argument("--bins", type=_flag(int, lambda n: check_loda_params(1, n)), default=100,
+                   help="loda: histogram bins")
+    p.add_argument("--quantiles", type=quantiles, default=DEFAULT_QUANTILES,
                    help="levels K of the training grid stored in the model")
 
     p = sub.add_parser("score", help="score a CSV with a saved model")
@@ -115,48 +161,53 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("explain", help="what-if explanation of one row")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--row", type=int, required=True, help="0-based row index")
-    p.add_argument("--weights", default="0.3,0.3,0.2,0.2", help="wD,wC,wQ,wR")
+    p.add_argument("--row", type=row, required=True, help="0-based row index")
+    p.add_argument("--weights", type=weights, default="0.3,0.3,0.2,0.2", help="wD,wC,wQ,wR")
     p.add_argument("--out", required=True, help="explanation JSON path")
     p.add_argument("--svg", default=None, help="optional what-if chart path")
     p.add_argument("--top-k", type=int, default=None, help="rows in the chart")
-    p.add_argument("--width", type=int, default=900, help="chart width in px")
+    p.add_argument("--width", type=_flag(int, viz.check_whatif_width), default=900,
+                   help="chart width in px")
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("overall", help="rank histogram over all detected anomalies")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--positions", type=int, default=None, help="rank positions (default min(d, 10))")
-    p.add_argument("--cutoff", type=float, default=0.05, help="merge share for 'others'")
-    p.add_argument("--weights", default="0.3,0.3,0.2,0.2")
+    p.add_argument("--positions", help="rank positions (default min(d, 10))", type=_flag(
+        int, lambda v: _require(v >= 1, f"--positions must be >= 1, got {v}")))
+    p.add_argument("--cutoff", default=0.05, help="merge share for 'others'", type=_flag(
+        float, lambda v: _require(0 < v < 1, f"--cutoff must be in (0, 1), got {v}")))
+    p.add_argument("--weights", type=weights, default="0.3,0.3,0.2,0.2")
     p.add_argument("--out", required=True, help="histogram JSON path")
     p.add_argument("--svg", default=None, help="optional stacked bar chart path")
-    p.add_argument("--width", type=int, default=760)
-    p.add_argument("--height", type=int, default=420)
+    p.add_argument("--width", type=_flag(int, viz.check_rank_bars_width), default=760)
+    p.add_argument("--height", type=_flag(int, viz.check_rank_bars_height), default=420)
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("shap", help="KernelSHAP baseline explanation of one row")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--row", type=int, required=True)
-    p.add_argument("--background-frac", type=float, default=0.1)
+    p.add_argument("--row", type=row, required=True)
+    p.add_argument("--background-frac", type=_flag(float, check_background_fraction), default=0.1)
     p.add_argument("--coalitions", type=int, default=None, help="default 2d + 2048")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("bench", help="latency suites (timing tables + CSV)")
     p.add_argument("--suite", required=True, choices=("background", "dimension"))
     p.add_argument("--out", required=True, help="results CSV path")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--d", type=int, default=50)
-    p.add_argument("--fractions", default="0.05,0.1,0.2,0.5")
-    p.add_argument("--dims", default="10,20,40")
+    p.add_argument("--fractions", type=_flag(str, _fractions), default="0.05,0.1,0.2,0.5")
+    p.add_argument("--dims", default="10,20,40",
+                   type=_flag(str, lambda text: sorted(int(v) for v in text.split(","))))
     p.add_argument("--coalitions", type=int, default=None)
-    p.add_argument("--quantiles", type=int, default=DEFAULT_QUANTILES)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--quantiles", type=quantiles, default=DEFAULT_QUANTILES)
+    p.add_argument("--repeats", default=bench_mod.MIN_REPEATS, type=_flag(int, lambda v: _require(
+        v >= bench_mod.MIN_REPEATS, f"--repeats must be >= {bench_mod.MIN_REPEATS}, got {v}")))
+    p.add_argument("--trees", type=trees, default=100)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic CSV")
     p.add_argument("--n", type=int, required=True, help="normal rows")
@@ -164,7 +215,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dims", type=int, required=True)
     p.add_argument("--root", type=int, required=True, help="shifted feature index")
     p.add_argument("--shift", type=float, required=True, help="shift in std units")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="CSV path")
     return parser
 
@@ -175,9 +226,9 @@ def _require_seed(args: argparse.Namespace) -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+            return _usage(_seed, env)
+        except UsageError:
+            raise UsageError(f"{SEED_ENV_VAR} must be an integer >= 0, got {env!r}") from None
     raise UsageError(f"--seed is required (or set {SEED_ENV_VAR})")
 
 
@@ -192,18 +243,6 @@ def _load_compatible(path: str, model_names: tuple[str, ...], has_labels: bool) 
     data = load_csv(path, has_labels=has_labels)
     _check_features(data.feature_names, model_names)
     return data
-
-
-def _at_least(flag: str, value: int | None, minimum: int) -> None:
-    """UsageError if ``flag`` was given a value below ``minimum``."""
-    if value is not None and value < minimum:
-        raise UsageError(f"{flag} must be >= {minimum}, got {value}")
-
-
-def _pick_row(data: Dataset, row: int) -> np.ndarray:
-    if not 0 <= row < data.n_rows:
-        raise _row_out_of_range(row, data.n_rows)
-    return data.rows[row]
 
 
 def _read_row(path: str, row: int, model_names: tuple[str, ...], has_labels: bool) -> np.ndarray:
@@ -270,13 +309,6 @@ def _dump_json(doc: dict) -> str:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
-    if not 0.0 < args.contamination < 1.0:
-        raise UsageError(f"--contamination must be in (0, 1), got {args.contamination}")
-    _at_least("--quantiles", args.quantiles, 2)
-    if args.model == "iforest":
-        check_forest_params(args.trees, args.subsample)
-    else:
-        check_loda_params(args.projections, args.bins)
     data = load_csv(args.input, has_labels=args.has_labels)
     if args.model == "iforest":
         detector = IsolationForest.fit(data, trees=args.trees, subsample=args.subsample, seed=seed)
@@ -305,17 +337,12 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    weights = validate_weights(args.weights.split(","))
-    _at_least("--row", args.row, 0)
-    if args.svg:
-        viz.check_whatif_width(args.width)
     detector, threshold, _, grid = read_model(args.model)
     names = detector.feature_names
-    if args.svg:
-        viz.whatif_top_k(args.top_k, len(names))
+    _usage(viz.whatif_top_k, args.top_k, len(names))
     grid = _training_grid(grid, names)
     x = _read_row(args.input, args.row, names, args.has_labels)
-    expl = explain(detector.score, x, grid, weights, threshold, feature_names=names)
+    expl = explain(detector.score, x, grid, args.weights, threshold, feature_names=names)
     svg = viz.render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
     if svg:
@@ -335,12 +362,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_overall(args: argparse.Namespace) -> int:
-    if not 0.0 < args.cutoff < 1.0:
-        raise UsageError(f"--cutoff must be in (0, 1), got {args.cutoff}")
-    _at_least("--positions", args.positions, 1)
-    if args.svg:
-        viz.check_rank_bars_size(args.width, args.height)
-    weights = validate_weights(args.weights.split(","))
     detector, threshold, _, grid = read_model(args.model)
     grid = _training_grid(grid, detector.feature_names)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
@@ -348,7 +369,7 @@ def _cmd_overall(args: argparse.Namespace) -> int:
     if args.has_labels:
         _log_label_diagnostics(data.labels, scores, threshold)
     hist = overall_importance(
-        detector.score, data, grid, weights, threshold, top_positions=args.positions,
+        detector.score, data, grid, args.weights, threshold, top_positions=args.positions,
         scores=scores,
     )
     # the summary names a real feature, so it reads the histogram before
@@ -365,14 +386,13 @@ def _cmd_overall(args: argparse.Namespace) -> int:
 
 def _cmd_shap(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
-    _at_least("--row", args.row, 0)
-    check_background_fraction(args.background_frac)
     detector, threshold, _ = load_model(args.model)
-    coalitions = coalition_budget(args.coalitions, len(detector.feature_names))
+    coalitions = _usage(coalition_budget, args.coalitions, len(detector.feature_names))
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
-    x = _pick_row(data, args.row)
+    if args.row >= data.n_rows:
+        raise _row_out_of_range(args.row, data.n_rows)
     background = sample_background(data, args.background_frac, seed)
-    expl = kernel_shap(detector.score, x, background, coalitions, seed)
+    expl = kernel_shap(detector.score, data.rows[args.row], background, coalitions, seed)
     _write_text(args.out, _dump_json(shap_to_dict(expl, point_id=args.row, threshold=threshold)))
     print(
         f"row {args.row}: score={expl.score:.6g}, background={expl.background_size}, "
@@ -381,17 +401,10 @@ def _cmd_shap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_workload(n: int, d: int, trees: int, seed: int):
+def _bench_workload(spec: SynthSpec, trees: int):
     """Synth data + fitted forest + the most anomalous point to explain."""
-    data = generate(SynthSpec(
-        n_normal=n - max(1, n // 100),
-        n_anomalies=max(1, n // 100),
-        d=d,
-        root_feature=0,
-        shift=4.0,
-        seed=seed,
-    ))
-    detector = IsolationForest.fit(data, trees=trees, subsample=_BENCH_SUBSAMPLE, seed=seed)
+    data = generate(spec)
+    detector = IsolationForest.fit(data, trees=trees, subsample=_BENCH_SUBSAMPLE, seed=spec.seed)
     scores = detector.score(data.rows)
     threshold = fit_threshold(scores, _BENCH_CONTAMINATION)
     x = data.rows[int(np.argmax(scores))]
@@ -400,31 +413,24 @@ def _bench_workload(n: int, d: int, trees: int, seed: int):
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
-    if args.repeats < bench_mod.MIN_REPEATS:
-        raise UsageError(f"--repeats must be >= {bench_mod.MIN_REPEATS}")
-    _at_least("--quantiles", args.quantiles, 2)
-    check_forest_params(args.trees, _BENCH_SUBSAMPLE)
+    background = args.suite == "background"
+    anomalies = max(1, args.n // 100)  # 1% of the rows, at least one
+    specs = [
+        _usage(SynthSpec, n_normal=args.n - anomalies, n_anomalies=anomalies, d=d,
+               root_feature=0, shift=4.0, seed=seed)
+        for d in ([args.d] if background else args.dims)
+    ]
+    coalitions = _usage(coalition_budget, args.coalitions, args.d) if background else None
     records: list[bench_mod.TimingRecord] = []
-    if args.suite == "background":
-        fractions = sorted(float(f) for f in args.fractions.split(","))
-        for fraction in fractions:
-            check_background_fraction(fraction)
-        coalitions = coalition_budget(args.coalitions, args.d)
-        data, detector, threshold, x = _bench_workload(args.n, args.d, args.trees, seed)
+    for spec in specs:
+        data, detector, threshold, x = _bench_workload(spec, args.trees)
         grid = build_quantile_grid(data, args.quantiles)
         records.append(bench_mod.time_explain(
             detector.score, x, grid, threshold, data.n_rows, args.repeats
         ))
-        records.extend(bench_mod.background_sweep(
-            detector.score, x, data, fractions, coalitions, seed, args.repeats
-        ))
-    else:  # dimension
-        dims = sorted(int(v) for v in args.dims.split(","))
-        for d in dims:
-            data, detector, threshold, x = _bench_workload(args.n, d, args.trees, seed)
-            grid = build_quantile_grid(data, args.quantiles)
-            records.append(bench_mod.time_explain(
-                detector.score, x, grid, threshold, data.n_rows, args.repeats
+        if background:
+            records.extend(bench_mod.background_sweep(
+                detector.score, x, data, args.fractions, coalitions, seed, args.repeats
             ))
     _write_text(args.out, bench_mod.records_to_csv(records))
     print(bench_mod.format_table(records), end="")
@@ -433,10 +439,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
-    spec = SynthSpec(
-        n_normal=args.n, n_anomalies=args.anomalies, d=args.dims,
-        root_feature=args.root, shift=args.shift, seed=seed,
-    )
+    spec = _usage(SynthSpec, args.n, args.anomalies, args.dims, args.root, args.shift, seed)
     data = generate(spec)
     save_csv(data, args.out)
     print(f"wrote {data.n_rows} rows x {data.n_features} features to {args.out}")
@@ -462,10 +465,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.command is None:
             raise UsageError("a subcommand is required (see --help)")
         return _COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"anomex: usage error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"anomex: data error: {exc}", file=sys.stderr)
         return 2
     except ModelError as exc:
@@ -474,9 +477,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"anomex: numeric error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"anomex: data error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -530,7 +530,7 @@ def _levels(values: np.ndarray, levels: np.ndarray, v: np.ndarray) -> np.ndarray
     lo = np.maximum(hi - 1, 0)
     rows = np.arange(v.size)
     at_hi, at_lo = values[rows, hi], values[rows, lo]
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows where v sits outside or on a value
+    with np.errstate(all="ignore"):  # rows where v sits outside, on or far from a value
         frac = (v - at_lo) / (at_hi - at_lo)
         inside = levels[lo] + frac * (levels[hi] - levels[lo])
     out = np.where(at_hi == v, levels[hi], inside)

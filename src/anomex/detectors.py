@@ -56,6 +56,8 @@ def check_forest_params(trees: int, subsample: int) -> None:
         raise ValueError(f"need at least 1 tree, got {trees}")
     if subsample < 2:
         raise ValueError(f"subsample must be >= 2, got {subsample}")
+    if subsample > MAX_SUBSAMPLE:
+        raise ValueError(f"subsample must be <= {MAX_SUBSAMPLE}, got {subsample}")
 
 
 def check_loda_params(projections: int, bins: int) -> None:
@@ -66,12 +68,14 @@ def check_loda_params(projections: int, bins: int) -> None:
         raise ValueError(f"need at least 1 bin, got {bins}")
 
 
-def _check_span(data: Dataset, what: str) -> None:
-    """DataError naming the first feature whose range overflows float64.
+def _check_training(data: Dataset, what: str) -> None:
+    """DataError below 2 rows, or naming the first feature whose range overflows float64.
 
     The forest's split draws, LODA's bins and the quantile levels all
     take a feature's max - min as a finite number.
     """
+    if data.n_rows < 2:
+        raise DataError(f"{what}: need at least 2 training rows, got {data.n_rows}")
     lo, hi = data.rows.min(axis=0), data.rows.max(axis=0)
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(np.isinf(hi - lo))
@@ -220,18 +224,14 @@ class IsolationForest:
         Args:
             data: training set, n >= 2 rows.
             trees: ensemble size, >= 1.
-            subsample: per-tree sample size psi; clamped to n, at most
-                MAX_SUBSAMPLE after clamping.
+            subsample: per-tree sample size psi, 2 to MAX_SUBSAMPLE;
+                clamped to n.
             seed: RNG seed; equal seeds give byte-identical models.
         """
-        n, d = data.rows.shape
-        if n < 2:
-            raise ValueError(f"need at least 2 training rows, got {n}")
         check_forest_params(trees, subsample)
-        _check_span(data, "IsolationForest.fit")
+        _check_training(data, "IsolationForest.fit")
+        n = data.n_rows
         psi = min(subsample, n)
-        if psi > MAX_SUBSAMPLE:
-            raise ValueError(f"subsample must be <= {MAX_SUBSAMPLE}, got {psi}")
         depth_limit = math.ceil(math.log2(psi))
         rng = np.random.default_rng(seed)
         grown = []
@@ -651,10 +651,11 @@ class Loda:
     ) -> "Loda":
         """Draw sparse random projections and histogram the projected data.
 
-        A zero-variance projection collapses to a single-bin histogram.
+        A projection with no spread, or too little to split into ``bins``
+        bins, collapses to a single-bin histogram.
         """
         check_loda_params(projections, bins)
-        _check_span(data, "Loda.fit")
+        _check_training(data, "Loda.fit")
         n, d = data.rows.shape
         rng = np.random.default_rng(seed)
         nnz = math.ceil(math.sqrt(d))
@@ -676,11 +677,11 @@ class Loda:
         bin_width = np.empty(projections)
         probs: list[np.ndarray] = []
         for i in range(projections):
-            if hi[i] == lo[i]:
+            bin_width[i] = (hi[i] - lo[i]) / bins
+            if bin_width[i] == 0:  # no spread, or too little for float64 to split into bins
                 bin_width[i] = 1.0
                 probs.append(np.asarray([1.0]))
                 continue
-            bin_width[i] = (hi[i] - lo[i]) / bins
             idx = np.clip((z[:, i] - lo[i]) / bin_width[i], 0, bins - 1).astype(np.int64)
             counts = np.bincount(idx, minlength=bins)
             probs.append((counts + 1.0) / (n + bins))

@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these to exit codes: DataError -> 2, ModelError -> 3,
-NumericError -> 4. Plain ValueError from parameter validation maps to 1
-(usage).
+NumericError -> 4. A ValueError is a parameter out of range; the CLI
+maps it to 1 (usage) only where it checks a flag's value.
 """
 
 

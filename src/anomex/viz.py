@@ -7,6 +7,8 @@ written with two decimals; colors are fixed hex strings.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from anomex.aggregate import OTHERS_NAME, RankHistogram
@@ -65,20 +67,16 @@ def whatif_top_k(top_k: int | None, d: int) -> int:
     return top_k
 
 
-def check_whatif_width(width: int) -> None:
-    """ValueError if a what-if chart ``width`` px wide has no room for its plot."""
-    _check_room("width", width, _WHATIF_MARGINS[0] + _WHATIF_MARGINS[1])
-
-
-def check_rank_bars_size(width: int, height: int) -> None:
-    """ValueError if a rank bar chart of this size has no room for its plot."""
-    _check_room("width", width, _BARS_MARGINS[0] + _BARS_MARGINS[1] + _LEGEND_W)
-    _check_room("height", height, _BARS_MARGINS[2] + _BARS_MARGINS[3])
-
-
-def _check_room(name: str, px: int, margins: int) -> None:
+def _check_room(name: str, margins: int, px: int) -> None:
+    """ValueError if a chart ``px`` wide or high leaves no room for its plot inside ``margins``."""
     if px <= margins:
         raise ValueError(f"{name} must exceed {margins} px, got {px}")
+
+
+# ValueError if a chart this many px wide (or high) has no room for its plot.
+check_whatif_width = partial(_check_room, "width", sum(_WHATIF_MARGINS[:2]))
+check_rank_bars_width = partial(_check_room, "width", sum(_BARS_MARGINS[:2]) + _LEGEND_W)
+check_rank_bars_height = partial(_check_room, "height", sum(_BARS_MARGINS[2:]))
 
 
 def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int = 900) -> str:
@@ -184,7 +182,8 @@ def render_rank_bars(hist: RankHistogram, width: int = 760, height: int = 420) -
     matrix = hist.matrix
     n_feat, n_pos = matrix.shape
 
-    check_rank_bars_size(width, height)
+    check_rank_bars_width(width)
+    check_rank_bars_height(height)
     margin_left, margin_right, margin_top, margin_bottom = _BARS_MARGINS
     plot_w = width - margin_left - margin_right - _LEGEND_W
     plot_h = height - margin_top - margin_bottom

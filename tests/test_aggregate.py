@@ -208,6 +208,13 @@ def test_merge_rejects_bad_cutoff():
             merge_others(hist, cutoff)
 
 
+def test_merge_rejects_a_kept_feature_named_others():
+    # 'others' always ranks first; b and c share the second place, so below 0.6 they fold
+    hist = rank_histogram([(0, 1, 2), (0, 2, 1)], ("others", "b", "c"), 2)
+    with pytest.raises(DataError, match="a feature is already named 'others'"):
+        merge_others(hist, 0.6)
+
+
 def test_histogram_validates_columns():
     with pytest.raises(ValueError, match="sum to 1"):
         RankHistogram(("a", "b"), np.array([[0.5, 0.2], [0.4, 0.8]]), 5)

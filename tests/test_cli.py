@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import logging
 import os
@@ -6,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import strategies as st
 from anomex import cli
 from anomex.cli import SEED_ENV_VAR, run
 from anomex.data import load_csv
-from anomex.detectors import average_precision, load_model
+from anomex.detectors import MAX_SUBSAMPLE, average_precision, load_model
 from anomex.shap_baseline import kernel_shap, sample_background, shap_to_dict
 
 
@@ -378,6 +381,15 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
     (["fit", "--model", "loda", "--seed", "1", "--projections", "0"],
      "need at least 1 projection, got 0"),
     (["fit", "--model", "loda", "--seed", "1", "--bins", "0"], "need at least 1 bin, got 0"),
+    # each flag is checked by its own rule, whatever the other flags are
+    (["explain", "--row", "0", "--width", "10"], "width must exceed 180 px, got 10"),
+    (["explain", "--row", "0", "--top-k", "7"], "top_k must be in [1, 6], got 7"),
+    (["overall", "--height", "10"], "height must exceed 86 px, got 10"),
+    (["fit", "--model", "loda", "--seed", "1", "--trees", "0"], "need at least 1 tree, got 0"),
+    (["fit", "--model", "iforest", "--seed", "1", "--subsample", str(MAX_SUBSAMPLE + 1)],
+     f"subsample must be <= {MAX_SUBSAMPLE}, got {MAX_SUBSAMPLE + 1}"),
+    (["fit", "--model", "iforest", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["shap", "--row", "0", "--seed", "-1"], "--seed must be >= 0, got -1"),
 ])
 def test_usage_error_bad_flag_before_any_input_is_read(workspace, tmp_path, capsys, argv,
                                                          message):
@@ -389,6 +401,16 @@ def test_usage_error_bad_flag_before_any_input_is_read(workspace, tmp_path, caps
                   "--out", str(out)) == 1
     assert capsys.readouterr().err == f"anomex: usage error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("env", ["-1", "x"])
+def test_usage_error_bad_seed_in_environment(tmp_path, monkeypatch, capsys, env):
+    monkeypatch.setenv(SEED_ENV_VAR, env)
+    assert invoke("synth", "--n", "10", "--anomalies", "2", "--dims", "2",
+                  "--root", "0", "--shift", "1", "--out", str(tmp_path / "x.csv")) == 1
+    assert capsys.readouterr().err == (
+        f"anomex: usage error: {SEED_ENV_VAR} must be an integer >= 0, got {env!r}\n"
+    )
 
 
 def test_seed_from_environment(tmp_path, monkeypatch):
@@ -476,6 +498,58 @@ def test_data_error_no_anomalies(workspace, capsys, tmp_path):
                   "--has-labels", "--out", str(tmp_path / "h.json"))
     assert code == 2
     assert "no anomalies detected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, name", [("iforest", "IsolationForest"), ("loda", "Loda")])
+def test_data_error_fit_on_one_row(tmp_path, capsys, model, name):
+    # the forest's ValueError read as a usage error (exit 1); LODA fitted a model scoring -0.0
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("a,b\n1,2\n")
+    out = tmp_path / "m.json"
+    assert invoke("fit", "--input", str(one_row), "--model", model, "--seed", "1",
+                  "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"anomex: data error: {name}.fit: need at least 2 training rows, got 1\n"
+    )
+    assert not out.exists()
+
+
+def test_data_error_overall_feature_named_others(workspace, capsys):
+    # merge_others' ValueError read as a usage error (exit 1)
+    tmp, data, _ = workspace
+    renamed = tmp / "renamed.csv"
+    renamed.write_text(data.read_text().replace("f2", "others", 1))
+    model = tmp / "renamed.json"
+    assert invoke("fit", "--input", str(renamed), "--has-labels", "--model", "iforest",
+                  "--contamination", "0.03", "--seed", "3", "--out", str(model)) == 0
+    out = tmp / "hist.json"
+    # at rank 1 'others' keeps a share of 0.36 while f1 and f3 (0.04 each) fold
+    assert invoke("overall", "--model", str(model), "--input", str(renamed), "--has-labels",
+                  "--positions", "1", "--cutoff", "0.1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "anomex: data error: cannot merge: a feature is already named 'others'\n"
+    )
+    assert not out.exists()
+
+
+def test_explain_far_row_against_a_narrow_grid_warns_nothing(tmp_path):
+    # 1e308 over a grid step of about 1e-302 overflowed in data._levels
+    train = tmp_path / "train.csv"
+    train.write_text("a,b\n" + "".join(f"{i}e-300,{i % 7}\n" for i in range(40)))
+    model = tmp_path / "m.json"
+    assert invoke("fit", "--input", str(train), "--model", "iforest", "--seed", "1",
+                  "--out", str(model)) == 0
+    far = tmp_path / "far.csv"
+    far.write_text("a,b\n1e308,3\n")
+    out = tmp_path / "e.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = invoke("explain", "--model", str(model), "--input", str(far), "--row", "0",
+                      "--out", str(out))
+    assert [str(w.message) for w in caught] == []
+    assert code == 0
+    levels = {f["name"]: f["level_of_x"] for f in json.loads(out.read_text())["features"]}
+    assert levels["a"] == 1.0
 
 
 @pytest.mark.parametrize("command", ["explain", "overall"])
@@ -632,6 +706,10 @@ def test_usage_error_removed_flag(workspace, tmp_path, capsys, command, flag):
     (["--suite", "dimension", "--quantiles", "1"], "--quantiles must be >= 2, got 1"),
     (["--suite", "dimension", "--dims", "3,x"], "invalid literal for int() with base 10: 'x'"),
     (["--suite", "background", "--trees", "0"], "need at least 1 tree, got 0"),
+    # the d=3 workload was built and timed before d=0 failed
+    (["--suite", "dimension", "--dims", "3,0"], "need at least one feature, got d=0"),
+    (["--suite", "background", "--n", "1"], "need at least one normal and one anomalous row"),
+    (["--suite", "background", "--repeats", "2"], "--repeats must be >= 3, got 2"),
 ])
 def test_usage_error_bench_flag_before_any_workload_is_built(tmp_path, capsys, monkeypatch, flags,
                                                               message):
@@ -651,6 +729,71 @@ def test_usage_error_bench_suite_head2head_is_gone(tmp_path, capsys):
     assert invoke("bench", "--suite", "head2head", "--seed", "1", "--out", str(out)) == 1
     assert "invalid choice: 'head2head'" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ordinary floats, the extremes of float64 and subnormals
+EXTREME_CELLS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324, 2.2e-308, 0.0]),
+)
+
+
+@st.composite
+def extreme_csvs(draw):
+    """CSV text of 2-30 rows and 1-4 columns; a column is free, constant or drawn from 1-3 ties."""
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 4))
+    columns = []
+    for _ in range(d):
+        pool = draw(st.lists(EXTREME_CELLS, min_size=1, max_size=3))
+        kind = draw(st.sampled_from(["free", "constant", "ties"]))
+        cells = {"free": EXTREME_CELLS, "constant": st.just(pool[0]), "ties": st.sampled_from(pool)}
+        columns.append(draw(st.lists(cells[kind], min_size=n, max_size=n)))
+    header = ",".join(f"f{j}" for j in range(d))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in zip(*columns))]) + "\n"
+
+
+def no_constant(name):
+    raise AssertionError(f"{name} in a JSON artifact")
+
+
+def run_cleanly(argv, artifact=None):
+    """Exit code of ``anomex argv`` in process; fails on exit 1, a warning or a NaN artifact."""
+    if artifact is not None:
+        artifact.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = invoke(*argv)
+    # exit 1 would misfile a data failure as the user's flag mistake
+    assert code in (0, 2, 3, 4), (argv[0], err.getvalue())
+    assert [str(w.message) for w in caught] == [], argv[0]
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    if code == 0 and artifact is not None:
+        json.loads(artifact.read_text(), parse_constant=no_constant)
+    return code
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=extreme_csvs())
+def test_valid_flags_on_extreme_csvs_exit_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data.csv"
+        data.write_text(text)
+        for model in ("iforest", "loda"):
+            path = tmp / f"{model}.json"
+            fit = ["fit", "--input", str(data), "--model", model, "--seed", "1", "--out", str(path)]
+            if run_cleanly(fit, path) != 0:
+                continue
+            common = ["--model", str(path), "--input", str(data)]
+            run_cleanly(["score", *common, "--out", str(tmp / "scores.csv")])
+            run_cleanly(["explain", *common, "--row", "0", "--svg", str(tmp / "e.svg"),
+                         "--out", str(tmp / "e.json")], tmp / "e.json")
+            run_cleanly(["overall", *common, "--svg", str(tmp / "h.svg"),
+                         "--out", str(tmp / "h.json")], tmp / "h.json")
+            run_cleanly(["shap", *common, "--row", "0", "--seed", "1",
+                         "--out", str(tmp / "s.json")], tmp / "s.json")
 
 
 def test_readme_cli_examples_parse():

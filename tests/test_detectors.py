@@ -101,8 +101,21 @@ def test_if_degenerate_identical_rows_still_builds():
 
 
 def test_if_rejects_tiny_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="need at least 2 training rows, got 1"):
         IsolationForest.fit(make_dataset([[1.0]]), trees=5, subsample=4, seed=0)
+
+
+def test_loda_rejects_tiny_input():
+    # one row used to fit a threshold of -0 that every score equalled
+    with pytest.raises(DataError, match="need at least 2 training rows, got 1"):
+        Loda.fit(make_dataset([[1.0, 2.0]]), projections=5, bins=4, seed=0)
+
+
+def test_loda_projection_too_narrow_to_bin_collapses_to_one_bin():
+    # a span of 5e-324 over 100 bins is a width of 0: the bin index was NaN
+    model = Loda.fit(make_dataset([0.0, 5e-324]), projections=5, bins=100, seed=0)
+    assert (model.bin_width == 1.0).all()
+    assert (model.score(np.array([[0.0], [5e-324], [1.0]])) == 0.0).all()
 
 
 def test_if_rejects_subsample_above_the_maximum():
