@@ -166,8 +166,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="explanation JSON path")
     p.add_argument("--svg", default=None, help="optional what-if chart path")
     p.add_argument("--top-k", type=int, default=None, help="rows in the chart")
-    p.add_argument("--width", type=_flag(int, viz.check_whatif_width), default=900,
-                   help="chart width in px")
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("overall", help="rank histogram over all detected anomalies")
@@ -180,8 +178,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--weights", type=weights, default="0.3,0.3,0.2,0.2")
     p.add_argument("--out", required=True, help="histogram JSON path")
     p.add_argument("--svg", default=None, help="optional stacked bar chart path")
-    p.add_argument("--width", type=_flag(int, viz.check_rank_bars_width), default=760)
-    p.add_argument("--height", type=_flag(int, viz.check_rank_bars_height), default=420)
     p.add_argument("--has-labels", action="store_true")
 
     p = sub.add_parser("shap", help="KernelSHAP baseline explanation of one row")
@@ -343,7 +339,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     grid = _training_grid(grid, names)
     x = _read_row(args.input, args.row, names, args.has_labels)
     expl = explain(detector.score, x, grid, args.weights, threshold, feature_names=names)
-    svg = viz.render_whatif(expl, top_k=args.top_k, width=args.width) if args.svg else None
+    svg = viz.render_whatif(expl, top_k=args.top_k) if args.svg else None
     _write_text(args.out, _dump_json(explanation_to_dict(expl, point_id=args.row)))
     if svg:
         _write_text(args.svg, svg)
@@ -376,7 +372,7 @@ def _cmd_overall(args: argparse.Namespace) -> int:
     # small features are folded into the synthetic 'others' row
     top = hist.feature_names[int(np.argmax(hist.matrix[:, 0]))]
     hist = merge_others(hist, args.cutoff)
-    svg = viz.render_rank_bars(hist, width=args.width, height=args.height) if args.svg else None
+    svg = viz.render_rank_bars(hist) if args.svg else None
     _write_text(args.out, _dump_json(histogram_to_dict(hist)))
     if svg:
         _write_text(args.svg, svg)

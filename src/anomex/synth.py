@@ -45,8 +45,8 @@ class SynthSpec:
             raise ValueError(f"need at least one feature, got d={self.d}")
         if not 0 <= self.root_feature < self.d:
             raise ValueError(f"root_feature {self.root_feature} out of range [0, {self.d})")
-        if self.shift < 0:
-            raise ValueError(f"shift must be >= 0, got {self.shift}")
+        if not np.isfinite(self.shift) or self.shift < 0:
+            raise ValueError(f"shift must be finite and >= 0, got {self.shift}")
 
 
 def generate(spec: SynthSpec) -> Dataset:

@@ -7,8 +7,6 @@ written with two decimals; colors are fixed hex strings.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from anomex.aggregate import OTHERS_NAME, RankHistogram
@@ -27,10 +25,16 @@ _PALETTE = (
 )
 _OTHERS_COLOR = "#999999"
 
-# Chart layout in px: margins (left, right, top, bottom) and the rank bars' legend.
+# Chart layout in px: fixed widths, margins (left, right, top, bottom), the
+# rank bars' least height and their legend (10 px keys, one per 16 px row).
+_WHATIF_WIDTH = 900
 _WHATIF_MARGINS = (150, 30, 46, 42)
+_BARS_WIDTH = 760
+_BARS_MIN_HEIGHT = 420
 _BARS_MARGINS = (56, 20, 40, 46)
 _LEGEND_W = 150
+_LEGEND_ROW = 16
+_LEGEND_KEY = 10
 
 
 def _level_color(level: float) -> str:
@@ -67,34 +71,23 @@ def whatif_top_k(top_k: int | None, d: int) -> int:
     return top_k
 
 
-def _check_room(name: str, margins: int, px: int) -> None:
-    """ValueError if a chart ``px`` wide or high leaves no room for its plot inside ``margins``."""
-    if px <= margins:
-        raise ValueError(f"{name} must exceed {margins} px, got {px}")
-
-
-# ValueError if a chart this many px wide (or high) has no room for its plot.
-check_whatif_width = partial(_check_room, "width", sum(_WHATIF_MARGINS[:2]))
-check_rank_bars_width = partial(_check_room, "width", sum(_BARS_MARGINS[:2]) + _LEGEND_W)
-check_rank_bars_height = partial(_check_room, "height", sum(_BARS_MARGINS[2:]))
-
-
-def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int = 900) -> str:
+def render_whatif(expl: LocalExplanation, top_k: int | None = None) -> str:
     """What-if bubble chart of the ``top_k`` most important features.
 
     One row per feature, ranked top-down by decreasing importance
-    (default: the ten most important, or all of them below ten). Small
+    (default: the ten most important, or all of them below ten); the
+    chart is 900 px wide and grows 36 px high per row. Small
     bubbles mark the swept scores, colored by the quantile level of the
     substituted value; the large bubble marks the point's own feature
     value and sits on the red dashed score line. The black solid line is
     the classification threshold.
     """
     top_k = whatif_top_k(top_k, expl.n_features)
-    check_whatif_width(width)
     rows = expl.ranking[:top_k]
 
     row_height = 36
     margin_left, margin_right, margin_top, margin_bottom = _WHATIF_MARGINS
+    width = _WHATIF_WIDTH
     height = margin_top + row_height * top_k + margin_bottom
     plot_w = width - margin_left - margin_right
 
@@ -171,20 +164,24 @@ def render_whatif(expl: LocalExplanation, top_k: int | None = None, width: int =
     return "\n".join(out) + "\n"
 
 
-def render_rank_bars(hist: RankHistogram, width: int = 760, height: int = 420) -> str:
+def render_rank_bars(hist: RankHistogram) -> str:
     """Stacked bar chart of rank-position shares (one stack per position).
 
     Segment heights are percentages, so every stack reaches 100%; colors
     are consistent per feature across positions and ``others`` is drawn
-    last in gray. A legend lists every feature row.
+    last in gray. A legend lists every feature row. The chart is 760 px
+    wide and 420 px high, or higher where the legend needs it (from its
+    25th row on).
     """
     names = hist.feature_names
     matrix = hist.matrix
     n_feat, n_pos = matrix.shape
 
-    check_rank_bars_width(width)
-    check_rank_bars_height(height)
     margin_left, margin_right, margin_top, margin_bottom = _BARS_MARGINS
+    width = _BARS_WIDTH
+    # room for the last legend key and 2 px below it
+    legend_bottom = margin_top + _LEGEND_ROW * (n_feat - 1) + _LEGEND_KEY
+    height = max(_BARS_MIN_HEIGHT, legend_bottom + 2)
     plot_w = width - margin_left - margin_right - _LEGEND_W
     plot_h = height - margin_top - margin_bottom
     slot = plot_w / n_pos
@@ -238,10 +235,10 @@ def render_rank_bars(hist: RankHistogram, width: int = 760, height: int = 420) -
 
     lx = margin_left + plot_w + 24
     for j in range(n_feat):
-        ly = margin_top + 16 * j
+        ly = margin_top + _LEGEND_ROW * j
         out.append(
-            f'<rect class="key" x="{lx}" y="{_fmt(ly)}" width="10" height="10" '
-            f'fill="{color(j)}"/>'
+            f'<rect class="key" x="{lx}" y="{_fmt(ly)}" width="{_LEGEND_KEY}" '
+            f'height="{_LEGEND_KEY}" fill="{color(j)}"/>'
         )
         out.append(
             f'<text x="{lx + 15}" y="{_fmt(ly + 9)}" font-family="sans-serif" '

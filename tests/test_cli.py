@@ -356,6 +356,17 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("shift", ["nan", "inf"])
+def test_usage_error_non_finite_synth_shift(tmp_path, capsys, shift):
+    # a usage error before any row is generated, not a data error when the rows are saved
+    out = tmp_path / "x.csv"
+    assert invoke("synth", "--n", "5", "--anomalies", "1", "--dims", "2", "--root", "0",
+                  f"--shift={shift}", "--seed", "1", "--out", str(out)) == 1
+    assert capsys.readouterr().err == (
+        f"anomex: usage error: shift must be finite and >= 0, got {shift}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["overall", "--cutoff", "1.5"], "--cutoff must be in (0, 1), got 1.5"),
     (["overall", "--cutoff", "0"], "--cutoff must be in (0, 1), got 0.0"),
@@ -372,9 +383,9 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
     (["explain", "--row", "-1"], "--row must be >= 0, got -1"),
     (["overall", "--weights", "1,1,1,1"], "weights must sum to 1, got sum=4.0"),
     (["explain", "--row", "0", "--svg", "x.svg", "--width", "10"],
-     "width must exceed 180 px, got 10"),
+     "unrecognized arguments: --width 10"),
     (["explain", "--row", "0", "--svg", "x.svg", "--top-k", "0"], "top_k must be in [1, 6], got 0"),
-    (["overall", "--svg", "x.svg", "--height", "10"], "height must exceed 86 px, got 10"),
+    (["overall", "--svg", "x.svg", "--height", "10"], "unrecognized arguments: --height 10"),
     (["fit", "--model", "iforest", "--seed", "1", "--trees", "0"], "need at least 1 tree, got 0"),
     (["fit", "--model", "iforest", "--seed", "1", "--subsample", "1"],
      "subsample must be >= 2, got 1"),
@@ -382,9 +393,9 @@ def test_usage_error_invalid_synth_spec(tmp_path, capsys):
      "need at least 1 projection, got 0"),
     (["fit", "--model", "loda", "--seed", "1", "--bins", "0"], "need at least 1 bin, got 0"),
     # each flag is checked by its own rule, whatever the other flags are
-    (["explain", "--row", "0", "--width", "10"], "width must exceed 180 px, got 10"),
+    (["explain", "--row", "0", "--width", "10"], "unrecognized arguments: --width 10"),
     (["explain", "--row", "0", "--top-k", "7"], "top_k must be in [1, 6], got 7"),
-    (["overall", "--height", "10"], "height must exceed 86 px, got 10"),
+    (["overall", "--height", "10"], "unrecognized arguments: --height 10"),
     (["fit", "--model", "loda", "--seed", "1", "--trees", "0"], "need at least 1 tree, got 0"),
     (["fit", "--model", "iforest", "--seed", "1", "--subsample", str(MAX_SUBSAMPLE + 1)],
      f"subsample must be <= {MAX_SUBSAMPLE}, got {MAX_SUBSAMPLE + 1}"),
@@ -855,8 +866,9 @@ def test_usage_error_non_finite_weights(workspace, tmp_path, capsys, command, we
 
 @pytest.mark.parametrize("command, flags", [
     ("explain", ["--top-k", "0"]),
-    ("explain", ["--width", "10"]),
-    ("overall", ["--width", "100", "--height", "20"]),
+    # no flag sets a chart's size: argparse refuses one, at any value
+    ("explain", ["--width", "900"]),
+    ("overall", ["--width", "760", "--height", "420"]),
 ])
 def test_usage_error_bad_chart_flags_write_no_file(workspace, tmp_path, command, flags):
     tmp, data, model = workspace

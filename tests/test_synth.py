@@ -101,3 +101,6 @@ def test_invalid_specs_rejected():
         SynthSpec(10, 1, 3, 0, -1.0, seed=0)
     with pytest.raises(ValueError):
         SynthSpec(10, 1, 0, 0, 1.0, seed=0)
+    for shift in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="shift must be finite"):
+            SynthSpec(10, 1, 3, 0, shift, seed=0)

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomex.aggregate import merge_others, rank_histogram
 from anomex.data import QuantileGrid, build_quantile_grid
@@ -11,9 +13,9 @@ from anomex.viz import render_rank_bars, render_whatif
 from conftest import make_dataset, random_scorer
 
 
-def small_explanation(d=4, k=9, seed=0, tau_q=0.7):
+def small_explanation(d=4, k=9, seed=0, tau_q=0.7, names=None):
     rng = np.random.default_rng(seed)
-    data = make_dataset(rng.normal(size=(60, d)))
+    data = make_dataset(rng.normal(size=(60, d)), names)
     grid = build_quantile_grid(data, k)
     scorer = random_scorer(rng, d)
     tau = float(np.quantile(scorer(data.rows), tau_q))
@@ -85,13 +87,6 @@ def test_whatif_top_k_bounds():
         render_whatif(expl, top_k=4)
 
 
-def test_whatif_rejects_a_width_with_no_plot_area():
-    expl = small_explanation()
-    with pytest.raises(ValueError, match="width must exceed 180 px"):
-        render_whatif(expl, width=180)
-    assert render_whatif(expl, width=181).startswith("<?xml")
-
-
 # -- rank bar chart ------------------------------------------------------------
 
 
@@ -147,13 +142,56 @@ def test_rank_bars_legend_lists_every_feature():
         assert f">{name}</text>" in svg
 
 
-@pytest.mark.parametrize("width, height, message", [
-    (226, 420, "width must exceed 226 px"),
-    (760, 86, "height must exceed 86 px"),
-    (100, 20, "width"),
-])
-def test_rank_bars_reject_a_size_with_no_plot_area(width, height, message):
-    hist = rank_histogram([(0, 1, 2), (1, 0, 2)], ("a", "b", "c"), 3)
-    with pytest.raises(ValueError, match=message):
-        render_rank_bars(hist, width=width, height=height)
-    assert "height=\"-" not in render_rank_bars(hist, width=227, height=87)
+def test_rank_bars_height_grows_with_the_legend_past_24_rows():
+    # key j sits at y = 40 + 16j: up to 24 keys fit the least height of 420 px
+    def svg_of(n_feat):
+        hist = rank_histogram([tuple(range(n_feat))], tuple(f"f{j}" for j in range(n_feat)), 1)
+        return render_rank_bars(hist)
+
+    assert 'height="420" viewBox="0 0 760 420"' in svg_of(24)
+    assert 'height="436" viewBox="0 0 760 436"' in svg_of(25)
+
+
+# -- both charts ------------------------------------------------------------------
+
+# the points of an element that must lie inside the view box, from its numeric attributes
+_ANCHORS = {
+    "rect": lambda a: [(a["x"], a["y"]), (a["x"] + a["width"], a["y"] + a["height"])],
+    "circle": lambda a: [(a["cx"], a["cy"])],
+    "line": lambda a: [(a["x1"], a["y1"]), (a["x2"], a["y2"])],
+    "text": lambda a: [(a["x"], a["y"])],
+}
+
+
+def assert_drawn_inside_view_box(svg):
+    view = re.search(r'viewBox="0 0 ([0-9.]+) ([0-9.]+)"', svg)
+    width, height = float(view.group(1)), float(view.group(2))
+    for tag, attrs in re.findall(r"<(rect|circle|line|text) ([^>]*)>", svg):
+        numbers = {k: float(v) for k, v in re.findall(r'([\w-]+)="(-?[0-9.]+)"', attrs)}
+        for x, y in _ANCHORS[tag](numbers):
+            assert 0 <= x <= width and 0 <= y <= height, (tag, attrs, width, height)
+
+
+_prefixes = st.sampled_from(["f", "feature_with_a_rather_long_name_for_a_chart_row", "x<&>y"])
+
+
+def draw_names(data, d):
+    return tuple(f"{data.draw(_prefixes)}{j}" for j in range(d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 60), data=st.data())
+def test_rank_bars_draw_inside_the_view_box(d, data):
+    names = draw_names(data, d)
+    positions = data.draw(st.integers(1, d))
+    perms = st.permutations(range(d)).map(tuple)
+    rankings = data.draw(st.lists(perms, min_size=1, max_size=8))
+    assert_drawn_inside_view_box(render_rank_bars(rank_histogram(rankings, names, positions)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 60), seed=st.integers(0, 2**16), data=st.data())
+def test_whatif_draws_inside_the_view_box(d, seed, data):
+    expl = small_explanation(d=d, seed=seed, names=draw_names(data, d))
+    top_k = data.draw(st.integers(1, d))
+    assert_drawn_inside_view_box(render_whatif(expl, top_k=top_k))
