@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from anomex.data import Dataset, QuantileGrid, Scorer
+from anomex.data import Dataset, QuantileGrid, Scorer, check_background_fraction
 from anomex.explainer import Weights, explain
-from anomex.shap_baseline import check_background_fraction, kernel_shap, sample_background
+from anomex.shap_baseline import kernel_shap, sample_background
 
 METHOD_QUANTILE_SWEEP = "acme_ad"
 METHOD_KERNELSHAP = "kernelshap"

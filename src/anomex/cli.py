@@ -7,9 +7,11 @@ CSV and byte-stable for identical inputs and seed.
 
 ``fit`` stores the quantile grid of the training data in the model, and
 ``explain`` and ``overall`` sweep only that grid, so an explanation does
-not depend on the other rows of --input; a model without one (format
-version 1) is a model error there, while ``score`` and ``shap`` accept
-it. ``explain`` reads only the header and its own row of --input.
+not depend on the other rows of --input; a model saved without one is a
+model error there, while ``score`` and ``shap`` accept it. A format
+version 1 model is a model error for every command, which names
+``anomex fit`` as the way to a current one. ``explain`` reads only the
+header and its own row of --input.
 ``shap`` samples its background from --input. ``bench`` times the
 sweep and KernelSHAP over ``--fractions`` of a synthetic forest
 workload (suite ``background``), or the sweep alone on one such
@@ -19,6 +21,9 @@ checked by its own rule as the command line is parsed; --coalitions,
 --top-k and the synth spec, which need d or several flags, are checked
 before --input is read or data generated. Warnings and the label
 diagnostics of ``score`` and ``overall`` go to stderr through ``logging``.
+
+Importing this module loads ``anomex.data``, ``.detectors``, ``.explainer``
+and ``.errors``; each command imports the other modules it calls when it runs.
 """
 
 from __future__ import annotations
@@ -33,14 +38,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from anomex import bench as bench_mod
-from anomex import viz
-from anomex.aggregate import histogram_to_dict, merge_others, overall_importance
 from anomex.data import (
     Dataset,
     QuantileGrid,
     RowOutOfRange,
     build_quantile_grid,
+    check_background_fraction,
     classify,
     fit_threshold,
     load_csv,
@@ -53,20 +56,11 @@ from anomex.detectors import (
     average_precision,
     check_forest_params,
     check_loda_params,
-    load_model,
     read_model,
     save_model,
 )
 from anomex.errors import DataError, ModelError, NumericError
 from anomex.explainer import explain, explanation_to_dict, validate_weights
-from anomex.shap_baseline import (
-    check_background_fraction,
-    coalition_budget,
-    kernel_shap,
-    sample_background,
-    shap_to_dict,
-)
-from anomex.synth import SynthSpec, generate
 
 SEED_ENV_VAR = "ANOMEX_SEED"
 DEFAULT_QUANTILES = 51
@@ -117,6 +111,12 @@ def _require(ok: bool, message: str) -> None:
 
 
 _seed = _flag(int, lambda v: _require(v >= 0, f"--seed must be >= 0, got {v}"))
+
+
+def _repeats(value: int) -> None:
+    from anomex.bench import MIN_REPEATS
+
+    _require(value >= MIN_REPEATS, f"--repeats must be >= {MIN_REPEATS}, got {value}")
 
 
 def _fractions(text: str) -> list[float]:
@@ -201,8 +201,7 @@ def _build_parser() -> _Parser:
                    type=_flag(str, lambda text: sorted(int(v) for v in text.split(","))))
     p.add_argument("--coalitions", type=int, default=None)
     p.add_argument("--quantiles", type=quantiles, default=DEFAULT_QUANTILES)
-    p.add_argument("--repeats", default=bench_mod.MIN_REPEATS, type=_flag(int, lambda v: _require(
-        v >= bench_mod.MIN_REPEATS, f"--repeats must be >= {bench_mod.MIN_REPEATS}, got {v}")))
+    p.add_argument("--repeats", type=_flag(int, _repeats), default=None)  # None: MIN_REPEATS
     p.add_argument("--trees", type=trees, default=100)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic CSV")
@@ -263,7 +262,7 @@ def _training_grid(grid: QuantileGrid | None, names: tuple[str, ...]) -> Quantil
     """
     if grid is None:
         raise ModelError(
-            "the model holds no quantile grid (format version 1, or saved without one); "
+            "the model holds no quantile grid (it was saved without one); "
             "refit it with anomex fit"
         )
     flat = np.flatnonzero(grid.values[:, -1] == grid.values[:, 0])
@@ -318,7 +317,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    detector, threshold, _ = load_model(args.model)
+    detector, threshold, _, _ = read_model(args.model)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
     scores = detector.score(data.rows)
     if args.has_labels:
@@ -333,6 +332,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
+    from anomex import viz
+
     detector, threshold, _, grid = read_model(args.model)
     names = detector.feature_names
     _usage(viz.whatif_top_k, args.top_k, len(names))
@@ -358,6 +359,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_overall(args: argparse.Namespace) -> int:
+    from anomex import viz
+    from anomex.aggregate import histogram_to_dict, merge_others, overall_importance
+
     detector, threshold, _, grid = read_model(args.model)
     grid = _training_grid(grid, detector.feature_names)
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
@@ -381,8 +385,10 @@ def _cmd_overall(args: argparse.Namespace) -> int:
 
 
 def _cmd_shap(args: argparse.Namespace) -> int:
+    from anomex.shap_baseline import coalition_budget, kernel_shap, sample_background, shap_to_dict
+
     seed = _require_seed(args)
-    detector, threshold, _ = load_model(args.model)
+    detector, threshold, _, _ = read_model(args.model)
     coalitions = _usage(coalition_budget, args.coalitions, len(detector.feature_names))
     data = _load_compatible(args.input, detector.feature_names, args.has_labels)
     if args.row >= data.n_rows:
@@ -397,8 +403,10 @@ def _cmd_shap(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_workload(spec: SynthSpec, trees: int):
-    """Synth data + fitted forest + the most anomalous point to explain."""
+def _bench_workload(spec, trees: int):
+    """Synth data of a SynthSpec + fitted forest + the most anomalous point to explain."""
+    from anomex.synth import generate
+
     data = generate(spec)
     detector = IsolationForest.fit(data, trees=trees, subsample=_BENCH_SUBSAMPLE, seed=spec.seed)
     scores = detector.score(data.rows)
@@ -408,7 +416,12 @@ def _bench_workload(spec: SynthSpec, trees: int):
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from anomex import bench
+    from anomex.shap_baseline import coalition_budget
+    from anomex.synth import SynthSpec
+
     seed = _require_seed(args)
+    repeats = bench.MIN_REPEATS if args.repeats is None else args.repeats
     background = args.suite == "background"
     anomalies = max(1, args.n // 100)  # 1% of the rows, at least one
     specs = [
@@ -417,23 +430,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for d in ([args.d] if background else args.dims)
     ]
     coalitions = _usage(coalition_budget, args.coalitions, args.d) if background else None
-    records: list[bench_mod.TimingRecord] = []
+    records: list[bench.TimingRecord] = []
     for spec in specs:
         data, detector, threshold, x = _bench_workload(spec, args.trees)
         grid = build_quantile_grid(data, args.quantiles)
-        records.append(bench_mod.time_explain(
-            detector.score, x, grid, threshold, data.n_rows, args.repeats
+        records.append(bench.time_explain(
+            detector.score, x, grid, threshold, data.n_rows, repeats
         ))
         if background:
-            records.extend(bench_mod.background_sweep(
-                detector.score, x, data, args.fractions, coalitions, seed, args.repeats
+            records.extend(bench.background_sweep(
+                detector.score, x, data, args.fractions, coalitions, seed, repeats
             ))
-    _write_text(args.out, bench_mod.records_to_csv(records))
-    print(bench_mod.format_table(records), end="")
+    _write_text(args.out, bench.records_to_csv(records))
+    print(bench.format_table(records), end="")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from anomex.synth import SynthSpec, generate
+
     seed = _require_seed(args)
     spec = _usage(SynthSpec, args.n, args.anomalies, args.dims, args.root, args.shift, seed)
     data = generate(spec)

@@ -260,12 +260,14 @@ def _read_plain(
             for block, starts, ends in _plain_blocks(fh):
                 k = index - seen
                 if 0 <= k < starts.size:
-                    return header, index + 1, [_record(block[starts[k] : ends[k] + 1])]
+                    return header, index + 1, [_record(block[starts[k] : ends[k]])]
                 seen += starts.size
             return header, seen, []
         body = fh.tell()
-        chunks = iter(lambda: fh.read(_ROW_SCAN_BYTES), b"")
-        bound = 1 + sum(chunk.count(b"\n") for chunk in chunks)  # rows, blank lines too
+        buf = bytearray(_ROW_SCAN_BYTES)
+        bound = 1  # rows, blank lines too
+        while n := fh.readinto(buf):
+            bound += buf.count(b"\n", 0, n)
         fh.seek(body)
         width = len(header)
         n_features = width - 1 if has_labels else width  # -1 fails, for _read_exact to word
@@ -319,49 +321,63 @@ _ROW_SCAN_BYTES = 1 << 20
 _UNLIKE_CSV = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _plain_blocks(fh: BinaryIO) -> Iterator[tuple[bytes, np.ndarray, np.ndarray]]:
+def _plain_blocks(fh: BinaryIO) -> Iterator[tuple[bytearray, np.ndarray, np.ndarray]]:
     """Blocks of whole lines from ``fh``, with where their non-blank lines start and end.
 
-    Blocks are read ``_ROW_SCAN_BYTES`` at a time and cut after their
-    last line break; a block of blank lines only is not yielded.
-    ValueError at the first line that is not plain.
+    A block is the head of one ``_ROW_SCAN_BYTES`` buffer, reused from
+    step to step, so it is valid until the next step. Each step moves the
+    unfinished line at the end of the last block to the front of the
+    buffer and fills the rest from ``fh``; the block ends after the last
+    line break. A block of blank lines only is not yielded. ValueError at
+    the first line that is not plain.
     """
     limit = csv.field_size_limit()
-    carry = b""  # the unfinished line at the end of the last chunk
+    buf = bytearray(_ROW_SCAN_BYTES)
+    scratch = np.empty(len(buf), dtype=bool)  # for the byte comparisons of a block
+    held = 0  # bytes of the unfinished line at the front of buf
     while True:
-        chunk = fh.read(_ROW_SCAN_BYTES)
-        block = carry + chunk
-        cut = block.rfind(b"\n") + 1 if chunk else len(block)
-        block, carry = block[:cut], block[cut:]
-        if len(carry) > limit:
+        if held == len(buf):  # a line this long is plain only under a raised limit
+            buf.extend(bytes(len(buf)))
+            scratch = np.empty(len(buf), dtype=bool)
+        n = fh.readinto(memoryview(buf)[held:])
+        end = held + n
+        cut = buf.rfind(b"\n", 0, end) + 1 if n else end
+        if end - cut > limit:
             raise ValueError("a line longer than csv.field_size_limit()")
-        starts, ends = _plain_line_ends(block, limit)
+        starts, ends = _plain_line_ends(buf, cut, limit, scratch)
         if starts.size:
-            yield block, starts, ends
-        if not chunk:
+            yield buf, starts, ends
+        if not n:
             return
+        held = end - cut
+        buf[:held] = buf[cut:end]
 
 
-def _plain_line_ends(block: bytes, limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where each non-blank line of ``block`` starts and ends; ValueError unless all are plain.
+def _plain_line_ends(
+    buf: bytearray, size: int, limit: int, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where each non-blank line of ``buf[:size]`` starts and ends; ValueError unless all are plain.
 
-    ``block`` holds whole lines from a line start; a line ends at its
+    ``buf[:size]`` holds whole lines from a line start; a line ends at its
     b"\\n" (not at the \\x0b, \\x0c, \\x85 or \\u2028 of str.splitlines,
-    which csv.reader keeps in a cell), or at the end of ``block``. A blank
-    line (empty, or a lone \\r before its \\n) is skipped, as csv.reader
+    which csv.reader keeps in a cell), or at ``size``. A blank line
+    (empty, or a lone \\r before its \\n) is skipped, as csv.reader
     skips it. A plain line holds no byte of ``_UNLIKE_CSV``, has a \\r only
     before its \\n and is at most ``limit`` bytes long, so csv.reader makes
     it one record, none of whose cells exceeds ``csv.field_size_limit()``.
+    ``scratch`` holds at least ``size`` booleans, overwritten here.
     """
-    if not block:
+    if not size:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    a = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(a == ord("\n"))
+    a = np.frombuffer(buf, dtype=np.uint8, count=size)
+    hits = scratch[:size]
+    ends = np.flatnonzero(np.equal(a, ord("\n"), out=hits))
     crlf = np.count_nonzero(a[ends[ends > 0] - 1] == ord("\r"))
-    if any(s in block for s in _UNLIKE_CSV) or np.count_nonzero(a == ord("\r")) != crlf:
+    bare_cr = np.count_nonzero(np.equal(a, ord("\r"), out=hits)) != crlf
+    if bare_cr or any(buf.find(s, 0, size) >= 0 for s in _UNLIKE_CSV):
         raise ValueError("a quote, a \\x1c-\\x1f byte or a bare \\r, which ends a record")
-    if not block.endswith(b"\n"):
-        ends = np.append(ends, a.size)
+    if buf[size - 1] != ord("\n"):
+        ends = np.append(ends, size)
     starts = np.concatenate(([0], ends[:-1] + 1))
     lengths = ends - starts
     if (lengths > limit).any():
@@ -553,3 +569,9 @@ def fit_threshold(train_scores: Sequence[float] | np.ndarray, contamination: flo
     if not 0.0 < contamination < 1.0:
         raise ValueError(f"contamination must be in (0, 1), got {contamination}")
     return float(np.quantile(scores, 1.0 - contamination))
+
+
+def check_background_fraction(fraction: float) -> None:
+    """ValueError unless ``fraction``, a share of a dataset's rows, is in (0, 1]."""
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")

@@ -6,7 +6,7 @@ anomalous, deterministic for a fixed seed, and safe to call concurrently
 once fitted; ``score_sweep`` takes a ``QuantileGrid`` as it is. Fitted
 models persist to a versioned JSON document via ``save_model`` /
 ``load_model``; format version 2 can carry the quantile grid of the
-training data, which ``read_model`` returns.
+training data, which ``read_model`` returns. Only version 2 is read.
 """
 
 from __future__ import annotations
@@ -842,9 +842,8 @@ class Loda:
 # Version 2 adds the optional "grid": the (d, K) quantile values of the
 # training data. They are stored alone: a QuantileGrid derives its K
 # levels from the width of its values, so they come back bit for bit.
-# Version 1 documents still load, without a grid.
+# Any other version, 1 included, is refused with a pointer to `anomex fit`.
 MODEL_FORMAT_VERSION = 2
-_READABLE_VERSIONS = (1, 2)
 _MODEL_TYPES = {"iforest": IsolationForest, "loda": Loda}
 
 Detector = IsolationForest | Loda
@@ -926,8 +925,8 @@ def read_model(path: str | Path) -> SavedModel:
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelError(f"{path}: not a model document")
     version = doc["format_version"]
-    if type(version) is not int or version not in _READABLE_VERSIONS:  # true == 1 in Python
-        raise ModelError(f"{path}: unsupported format version {doc['format_version']}")
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:  # 2.0 == 2 in Python
+        raise ModelError(f"{path}: unsupported format version {version}; refit it with anomex fit")
     model_type = doc.get("model_type")
     klass = _MODEL_TYPES.get(model_type) if isinstance(model_type, str) else None
     if klass is None:

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from anomex.data import Dataset, Scorer, checked_scores, classify
+from anomex.data import Dataset, Scorer, check_background_fraction, checked_scores, classify
 from anomex.detectors import IsolationForest, bound_detector
 from anomex.errors import NumericError
 
@@ -84,12 +84,6 @@ def coalition_budget(coalitions: int | None, d: int) -> int:
     if coalitions > limit:
         raise ValueError(f"coalition budget must be <= {limit} at d={d}, got {coalitions}")
     return coalitions
-
-
-def check_background_fraction(fraction: float) -> None:
-    """ValueError unless ``fraction`` is in (0, 1]."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
 
 
 def sample_background(data: Dataset, fraction: float, seed: int) -> Dataset:

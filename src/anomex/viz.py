@@ -7,6 +7,9 @@ written with two decimals; colors are fixed hex strings.
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from anomex.aggregate import OTHERS_NAME, RankHistogram
@@ -25,7 +28,7 @@ _PALETTE = (
 )
 _OTHERS_COLOR = "#999999"
 
-# Chart layout in px: fixed widths, margins (left, right, top, bottom), the
+# Chart layout in px: least widths, margins (left, right, top, bottom), the
 # rank bars' least height and their legend (10 px keys, one per 16 px row).
 _WHATIF_WIDTH = 900
 _WHATIF_MARGINS = (150, 30, 46, 42)
@@ -35,6 +38,17 @@ _BARS_MARGINS = (56, 20, 40, 46)
 _LEGEND_W = 150
 _LEGEND_ROW = 16
 _LEGEND_KEY = 10
+# A feature name is taken as 0.55 em per character, an average sans-serif
+# glyph, and kept 2 px off the canvas edge: names of up to 23 characters
+# fit the least widths.
+_GLYPH_EM = 0.55
+_EDGE_GAP = 2
+
+
+def _name_room(least: int, names: Sequence[str], font_px: int) -> int:
+    """Px for ``names`` set in ``font_px`` type: ``least``, or what the longest needs."""
+    longest = max(len(name) for name in names)
+    return max(least, math.ceil(_GLYPH_EM * font_px * longest + _EDGE_GAP))
 
 
 def _level_color(level: float) -> str:
@@ -76,7 +90,8 @@ def render_whatif(expl: LocalExplanation, top_k: int | None = None) -> str:
 
     One row per feature, ranked top-down by decreasing importance
     (default: the ten most important, or all of them below ten); the
-    chart is 900 px wide and grows 36 px high per row. Small
+    chart is 900 px wide, wider where a feature name needs more room on
+    the left, and grows 36 px high per row. Small
     bubbles mark the swept scores, colored by the quantile level of the
     substituted value; the large bubble marks the point's own feature
     value and sits on the red dashed score line. The black solid line is
@@ -87,9 +102,11 @@ def render_whatif(expl: LocalExplanation, top_k: int | None = None) -> str:
 
     row_height = 36
     margin_left, margin_right, margin_top, margin_bottom = _WHATIF_MARGINS
-    width = _WHATIF_WIDTH
+    plot_w = _WHATIF_WIDTH - margin_left - margin_right
+    # row labels end 8 px left of the plot
+    margin_left = 8 + _name_room(margin_left - 8, [expl.feature_names[j] for j in rows], 11)
+    width = margin_left + plot_w + margin_right
     height = margin_top + row_height * top_k + margin_bottom
-    plot_w = width - margin_left - margin_right
 
     all_scores = np.concatenate([expl.sweep[list(rows)].ravel(), [expl.score, expl.threshold]])
     lo = float(all_scores.min())
@@ -170,19 +187,20 @@ def render_rank_bars(hist: RankHistogram) -> str:
     Segment heights are percentages, so every stack reaches 100%; colors
     are consistent per feature across positions and ``others`` is drawn
     last in gray. A legend lists every feature row. The chart is 760 px
-    wide and 420 px high, or higher where the legend needs it (from its
-    25th row on).
+    wide and 420 px high, or wider where a legend name needs it and
+    higher where the legend's rows do (from its 25th row on).
     """
     names = hist.feature_names
     matrix = hist.matrix
     n_feat, n_pos = matrix.shape
 
     margin_left, margin_right, margin_top, margin_bottom = _BARS_MARGINS
-    width = _BARS_WIDTH
+    plot_w = _BARS_WIDTH - margin_left - margin_right - _LEGEND_W
+    lx = margin_left + plot_w + 24  # legend keys; their names start 15 px on
+    width = lx + 15 + _name_room(_BARS_WIDTH - lx - 15, names, 10)
     # room for the last legend key and 2 px below it
     legend_bottom = margin_top + _LEGEND_ROW * (n_feat - 1) + _LEGEND_KEY
     height = max(_BARS_MIN_HEIGHT, legend_bottom + 2)
-    plot_w = width - margin_left - margin_right - _LEGEND_W
     plot_h = height - margin_top - margin_bottom
     slot = plot_w / n_pos
     bar_w = slot * 0.62
@@ -233,7 +251,6 @@ def render_rank_bars(hist: RankHistogram) -> str:
         f"(1 = most important)</text>"
     )
 
-    lx = margin_left + plot_w + 24
     for j in range(n_feat):
         ly = margin_top + _LEGEND_ROW * j
         out.append(

@@ -90,3 +90,49 @@ def test_run_bench_returns_a_correct_run(monkeypatch, tmp_path):
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     assert bench_pairs.run_bench(tmp_path, "cli-iforest-20k", 1)["metrics"]["setup_s"]["value"] == 0.1
+
+
+def test_cpu_probe_is_the_ratio_of_two_concurrent_loops_to_one(monkeypatch):
+    walls = {1: 0.2, 2: 0.43}
+    monkeypatch.setattr(bench_pairs, "loops_wall_s", lambda count: walls[count])
+    assert bench_pairs.cpu_probe() == {
+        "one_loop_s": 0.2, "two_loops_s": 0.43, "two_over_one": pytest.approx(2.15),
+    }
+
+
+class FakeLoop:
+    """A Popen stand-in that logs its start and its wait, and exits with ``code``."""
+
+    def __init__(self, log, argv, code=0):
+        log.append(("start", argv))
+        self.log, self.returncode = log, code
+
+    def wait(self):
+        self.log.append(("wait",))
+        return self.returncode
+
+
+def test_loops_wall_s_starts_every_loop_before_waiting(monkeypatch):
+    log = []
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", lambda argv: FakeLoop(log, argv))
+    assert bench_pairs.loops_wall_s(2) >= 0
+    start = ("start", [bench_pairs.sys.executable, "-c", bench_pairs.PROBE_LOOP])
+    assert log == [start, start, ("wait",), ("wait",)]
+
+
+def test_loops_wall_s_refuses_a_failed_loop(monkeypatch):
+    monkeypatch.setattr(bench_pairs.subprocess, "Popen", lambda argv: FakeLoop([], argv, 1))
+    with pytest.raises(RuntimeError, match="exited with code 1"):
+        bench_pairs.loops_wall_s(1)
+
+
+def test_each_pair_records_a_cpu_probe(monkeypatch, tmp_path):
+    probe = {"one_loop_s": 0.2, "two_loops_s": 0.2, "two_over_one": 1.0}
+    monkeypatch.setattr(bench_pairs, "cpu_probe", lambda: probe)
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda checkout, workload, seed: {
+        "correct": True, "metrics": {}, "checkout": str(checkout)})
+    checkouts = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    pair = bench_pairs.run_pair(checkouts, "cli-iforest-20k", 7, "change")
+    assert pair["cpu_probe"] == probe
+    assert pair["parent"]["checkout"] == str(checkouts["parent"])
+    assert pair["change"]["checkout"] == str(checkouts["change"])

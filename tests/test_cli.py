@@ -582,11 +582,11 @@ def test_data_error_flat_grid(workspace, capsys, command):
     assert not out.exists() and not (tmp / "out.svg").exists()
 
 
-def as_version_1(model, path):
-    """The model document as format version 1 wrote it: no grid."""
+def without_grid(model, path, version):
+    """The model document with no grid, as format ``version``."""
     doc = json.loads(model.read_text())
     del doc["grid"]
-    doc["format_version"] = 1
+    doc["format_version"] = version
     path.write_text(json.dumps(doc, sort_keys=True))
     return path
 
@@ -594,29 +594,44 @@ def as_version_1(model, path):
 @pytest.mark.parametrize("command", ["explain", "overall"])
 def test_model_error_model_without_a_grid(workspace, capsys, command):
     tmp, data, model = workspace
-    v1 = as_version_1(model, tmp / "v1.json")
+    gridless = without_grid(model, tmp / "gridless.json", 2)
     out, svg = tmp / "out.json", tmp / "out.svg"
     row = ["--row", "805"] if command == "explain" else []
-    code = invoke(command, "--model", str(v1), "--input", str(data), "--has-labels",
+    code = invoke(command, "--model", str(gridless), "--input", str(data), "--has-labels",
                   *row, "--out", str(out), "--svg", str(svg))
     assert code == 3
     assert capsys.readouterr().err == (
-        "anomex: model error: the model holds no quantile grid (format version 1, or saved "
-        "without one); refit it with anomex fit\n"
+        "anomex: model error: the model holds no quantile grid (it was saved without one); "
+        "refit it with anomex fit\n"
     )
     assert not out.exists() and not svg.exists()
 
 
-def test_version_1_model_still_scores_and_runs_shap(workspace):
+def test_model_without_a_grid_still_scores_and_runs_shap(workspace):
     tmp, data, model = workspace
-    v1 = as_version_1(model, tmp / "v1.json")
+    gridless = without_grid(model, tmp / "gridless.json", 2)
     for command, flags in (("score", []), ("shap", ["--row", "805", "--seed", "3"])):
         outs = {}
-        for name, path in (("v1", v1), ("v2", model)):
+        for name, path in (("gridless", gridless), ("full", model)):
             outs[name] = tmp / f"{command}-{name}.out"
             assert invoke(command, "--model", str(path), "--input", str(data), "--has-labels",
                           *flags, "--out", str(outs[name])) == 0
-        assert outs["v1"].read_bytes() == outs["v2"].read_bytes()
+        assert outs["gridless"].read_bytes() == outs["full"].read_bytes()
+
+
+@pytest.mark.parametrize("command", ["score", "explain", "overall", "shap"])
+def test_model_error_version_1_model_on_every_command(workspace, capsys, command):
+    tmp, data, model = workspace
+    v1 = without_grid(model, tmp / "v1.json", 1)
+    out = tmp / "out"
+    flags = {"score": [], "explain": ["--row", "805"], "overall": [],
+             "shap": ["--row", "805", "--seed", "3"]}[command]
+    assert invoke(command, "--model", str(v1), "--input", str(data), "--has-labels",
+                  *flags, "--out", str(out)) == 3
+    assert capsys.readouterr().err == (
+        f"anomex: model error: {v1}: unsupported format version 1; refit it with anomex fit\n"
+    )
+    assert not out.exists()
 
 
 def test_one_row_input_is_explained_against_the_training_grid(workspace):

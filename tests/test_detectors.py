@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import warnings
 
 import numpy as np
@@ -677,12 +678,23 @@ def test_stored_grid_round_trips_bit_for_bit(tmp_path, gaussian_data, kind, k):
     assert resaved.read_bytes() == path.read_bytes()
 
 
-def test_version_1_document_loads_without_a_grid(tmp_path, model_documents):
+def test_version_1_document_is_refused(tmp_path, model_documents):
     doc = copy.deepcopy(model_documents["iforest"][0])
     del doc["grid"]
     doc["format_version"] = 1
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(doc))
+    with pytest.raises(ModelError, match=re.escape(
+        f"{path}: unsupported format version 1; refit it with anomex fit"
+    )):
+        read_model(path)
+
+
+def test_document_saved_without_a_grid_loads_without_one(tmp_path, gaussian_data):
+    model = IsolationForest.fit(gaussian_data, trees=3, subsample=16, seed=1)
+    path = tmp_path / "gridless.json"
+    save_model(model, 0.5, 0.1, path)
+    assert json.loads(path.read_text())["format_version"] == MODEL_FORMAT_VERSION
     saved = read_model(path)
     assert saved.grid is None
     assert saved.detector.n_trees == 3

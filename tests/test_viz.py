@@ -1,3 +1,4 @@
+import html
 import re
 
 import numpy as np
@@ -161,6 +162,18 @@ _ANCHORS = {
     "line": lambda a: [(a["x1"], a["y1"]), (a["x2"], a["y2"])],
     "text": lambda a: [(a["x"], a["y"])],
 }
+# the share of a text's width left of its x, by its text-anchor
+_LEFT_SHARE = {"start": 0.0, "middle": 0.5, "end": 1.0}
+
+
+def text_extent(attrs, text):
+    """(left, right) x of a text element, at 0.55 em per character."""
+    anchor = re.search(r'text-anchor="(\w+)"', attrs)
+    x = float(re.search(r' ?x="(-?[0-9.]+)"', attrs).group(1))
+    font_px = float(re.search(r'font-size="([0-9.]+)"', attrs).group(1))
+    width = 0.55 * font_px * len(html.unescape(text))
+    left = x - _LEFT_SHARE[anchor.group(1) if anchor else "start"] * width
+    return left, left + width
 
 
 def assert_drawn_inside_view_box(svg):
@@ -170,6 +183,9 @@ def assert_drawn_inside_view_box(svg):
         numbers = {k: float(v) for k, v in re.findall(r'([\w-]+)="(-?[0-9.]+)"', attrs)}
         for x, y in _ANCHORS[tag](numbers):
             assert 0 <= x <= width and 0 <= y <= height, (tag, attrs, width, height)
+    for attrs, text in re.findall(r"<text ([^>]*)>([^<]*)</text>", svg):
+        left, right = text_extent(attrs, text)
+        assert 0 <= left and right <= width, (text, left, right, width)
 
 
 _prefixes = st.sampled_from(["f", "feature_with_a_rather_long_name_for_a_chart_row", "x<&>y"])
@@ -177,6 +193,24 @@ _prefixes = st.sampled_from(["f", "feature_with_a_rather_long_name_for_a_chart_r
 
 def draw_names(data, d):
     return tuple(f"{data.draw(_prefixes)}{j}" for j in range(d))
+
+
+LONG_NAME = "reactor_outlet_temperature_sensor_3"  # 35 characters
+
+
+def test_a_35_character_name_stays_on_both_charts():
+    names = ("f0", LONG_NAME, "f2")
+    expl = small_explanation(d=3, names=names)
+    assert_drawn_inside_view_box(render_whatif(expl, top_k=3))
+    assert_drawn_inside_view_box(render_rank_bars(rank_histogram([(1, 0, 2)], names, 3)))
+
+
+def test_names_of_up_to_23_characters_keep_the_least_widths():
+    names = ("f0", "n" * 23, "f2")
+    svg = render_whatif(small_explanation(d=3, names=names), top_k=3)
+    assert 'width="900"' in svg and '<text x="142"' in svg
+    svg = render_rank_bars(rank_histogram([(1, 0, 2)], names, 3))
+    assert 'width="760"' in svg and '<text x="629"' in svg
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,12 @@ first, and so on; every pair has a seed of its own, counted up from
 first, runs on ``--held-out-seed``. Workloads run one after another, never
 two at once, so they do not share the CPUs.
 
+Before each pair a CPU-capacity probe times a fixed pure-Python loop
+alone and then two copies of it at once, each in its own interpreter, and
+the pair records the ratio of the two wall times as ``cpu_probe``: about
+1.0 while the box gives two CPUs, about 2.0 while it gives one, so a
+reader can tell a slower host from slower code.
+
 The file holds the last JSON line of every run under
 ``workloads[W]["pairs"]`` and ``["held_out"]``, and per end-to-end metric
 of BENCHMARK.json the medians and quartiles of each side
@@ -38,6 +44,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -48,6 +55,9 @@ RUN_TIMEOUT_S = 900
 STDERR_TAIL = 2000
 # Share of pairs the change must win for a gain (choosing-metrics, section 8).
 GAIN_SHARE = 0.9
+# The probe's loop: pure Python, no I/O, about 0.2 s on one CPU of a 2-vCPU
+# VM, so each interpreter holds one CPU for as long as it runs.
+PROBE_LOOP = "sum(i * i for i in range(3_000_000))"
 
 
 def _git(*args: str) -> str:
@@ -88,8 +98,25 @@ def run_bench(checkout: Path, workload: str, seed: int) -> dict:
     return result
 
 
+def loops_wall_s(count: int) -> float:
+    """Wall time of ``count`` interpreters running PROBE_LOOP at once."""
+    start = time.perf_counter()
+    procs = [subprocess.Popen([sys.executable, "-c", PROBE_LOOP]) for _ in range(count)]
+    for proc in procs:
+        if proc.wait() != 0:
+            raise RuntimeError(f"the CPU probe's loop exited with code {proc.returncode}")
+    return time.perf_counter() - start
+
+
+def cpu_probe() -> dict:
+    """One loop alone, then two at once: their wall times and the ratio of two to one."""
+    one = loops_wall_s(1)
+    two = loops_wall_s(2)
+    return {"one_loop_s": one, "two_loops_s": two, "two_over_one": two / one}
+
+
 def run_pair(checkouts: dict[str, Path], workload: str, seed: int, first: str) -> dict:
-    pair = {"seed": seed, "first": first}
+    pair = {"seed": seed, "first": first, "cpu_probe": cpu_probe()}
     for side in (first, "change" if first == "parent" else "parent"):
         pair[side] = run_bench(checkouts[side], workload, seed)
         print(f"{workload} seed {seed} {side}: "
@@ -196,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
             "export) and in the working tree, in alternating pairs: the first pair of each "
             "workload runs the parent first, the next the change first, and so on. `held_out` "
             f"is one more pair per workload on seed {args.held_out_seed}, change first. "
+            "`cpu_probe` of a pair, taken before its runs, is the wall time of two "
+            "concurrent copies of a fixed pure-Python loop over that of one alone: about "
+            "1.0 with two usable CPUs, about 2.0 with one. "
             "Written by tools/bench_pairs.py."
         ),
         "parent_commit": _git("rev-parse", "--short", args.parent),
